@@ -34,6 +34,12 @@ def empirical_q(scores, c: float) -> float:
     return float(np.mean(s >= c))
 
 
+def _upper_tail(scores: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    # fraction of scores >= each candidate, by counting in sorted order
+    below = np.searchsorted(np.sort(scores), cand, side="left")
+    return (scores.size - below) / scores.size
+
+
 def estimate_prior(scores_p, scores_u, q_floor: float | None = None) -> PriorEstimate:
     """Minimum of Q_u(c)/Q_p(c) over candidate thresholds.
 
@@ -52,8 +58,8 @@ def estimate_prior(scores_p, scores_u, q_floor: float | None = None) -> PriorEst
         q_floor = max(10.0 / sp_.size, 0.05) if sp_.size >= 10 else 0.05
 
     cand = np.unique(np.concatenate([sp_, su, [0.0]]))
-    q_u = (su[None, :] >= cand[:, None]).mean(axis=1)
-    q_p = (sp_[None, :] >= cand[:, None]).mean(axis=1)
+    q_u = _upper_tail(su, cand)
+    q_p = _upper_tail(sp_, cand)
     admissible = q_p >= q_floor
 
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
+from .graph import _node_ids
+
 LOG_EPS = 1e-12
 ADAM_B1 = 0.9
 ADAM_B2 = 0.999
@@ -73,8 +75,7 @@ def pu_loss(z: np.ndarray, positives, negatives) -> float:
     -log(1 - z + eps) over the provisional-negative group; an empty group's
     term is dropped, both empty is an error.
     """
-    pos = np.asarray(list(positives), dtype=np.int64)
-    neg = np.asarray(list(negatives), dtype=np.int64)
+    pos, neg = _node_ids(positives), _node_ids(negatives)
     if pos.size == 0 and neg.size == 0:
         raise ClassifierError("both groups empty")
     loss = 0.0
@@ -91,8 +92,7 @@ def loss_gradients(state: ClassifierState, op, X, positives, negatives):
     The operator is treated as a constant: no gradient flows to the edge
     mask from the classification loss.
     """
-    pos = np.asarray(list(positives), dtype=np.int64)
-    neg = np.asarray(list(negatives), dtype=np.int64)
+    pos, neg = _node_ids(positives), _node_ids(negatives)
     z, pre2, h1, pre1, xs = _forward_cache(state, op, X)
     loss = pu_loss(z, pos, neg)
     if not np.isfinite(loss):
@@ -190,19 +190,47 @@ def save_checkpoint(state: ClassifierState, path) -> None:
 
 
 def load_checkpoint(path) -> ClassifierState:
+    """Read a save_checkpoint file. A truncated or malformed file raises
+    ClassifierError naming the path and the 1-based line."""
     with open(path, encoding="utf-8") as f:
         lines = [ln.rstrip("\n") for ln in f]
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ClassifierError(f"{path}: not a recognized checkpoint file")
-    t = int(lines[1].split()[1])
+
+    def fail(k, what):
+        return ClassifierError(f"{path}: line {k + 1}: {what}")
+
+    def fields(k, expected):
+        if k >= len(lines):
+            raise fail(k, f"file ends where {expected} was expected")
+        return lines[k].split()
+
+    head = fields(1, "the step counter")
+    if len(head) != 2 or head[0] != "t" or not head[1].isdigit():
+        raise fail(1, f"expected 't <steps>', got {lines[1]!r}")
+    t = int(head[1])
     blocks = {}
     k = 2
     while k < len(lines) and lines[k].strip():
-        name, r, c = lines[k].split()
-        r, c = int(r), int(c)
-        rows = [np.array(lines[k + 1 + q].split(), dtype=np.float64) for q in range(r)]
+        hdr = lines[k].split()
+        if len(hdr) != 3 or not (hdr[1].isdigit() and hdr[2].isdigit()):
+            raise fail(k, f"expected '<block> <rows> <cols>', got {lines[k]!r}")
+        name, r, c = hdr[0], int(hdr[1]), int(hdr[2])
+        rows = []
+        for q in range(k + 1, k + 1 + r):
+            vals = fields(q, f"row {q - k} of block {name}")
+            try:
+                row = np.array(vals, dtype=np.float64)
+            except ValueError:
+                raise fail(q, f"non-numeric value in block {name}") from None
+            if row.size != c:
+                raise fail(q, f"block {name} row has {row.size} values, expected {c}")
+            rows.append(row)
         blocks[name] = np.array(rows, dtype=np.float64).reshape(r, c)
         k += 1 + r
+    missing = [b for p in PARAM_NAMES for b in (p, "m" + p, "v" + p) if b not in blocks]
+    if missing:
+        raise fail(k, f"block {missing[0]} is missing")
     state = ClassifierState(
         W1=blocks["W1"],
         b1=blocks["b1"].ravel(),

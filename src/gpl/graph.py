@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,12 +39,27 @@ class SparseGraph:
             np.add.at(d, self.edges[:, 1], 1)
         return d
 
+    # Operator layouts, built on first use and kept for the graph's lifetime.
+    @cached_property
+    def _propagation_layout(self) -> _Layout:
+        # An isolated node gets a self-loop slot: its weight 1 is its row sum,
+        # so its row comes out as the identity row. With no isolated node,
+        # rows run high to low, the slot order of the former scipy product
+        # D^-1 W, because op @ E sums each row in slot order.
+        iso = np.flatnonzero(self.degrees() == 0)
+        return _layout(self, iso, descending=iso.size == 0)
+
+    @cached_property
+    def _gcn_layout(self) -> _Layout:
+        return _layout(self, np.arange(self.n))
+
 
 def build_graph(n, edges, features, labels) -> SparseGraph:
     """Validate and canonicalize raw inputs into a SparseGraph.
 
     Symmetric duplicates collapse to one stored edge. Self-loops and
-    out-of-range endpoints are rejected, naming the offending pair.
+    out-of-range endpoints are rejected, naming the offending pair; NaN or
+    infinite features are rejected, naming the first offending row.
     """
     if n <= 0:
         raise GraphError("node count must be positive")
@@ -62,6 +78,9 @@ def build_graph(n, edges, features, labels) -> SparseGraph:
         raise GraphError(
             f"feature matrix has {features.shape[0] if features.ndim == 2 else '?'} rows, expected {n}"
         )
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise GraphError(f"feature row {bad[0]}: non-finite value")
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (n,):
         raise GraphError(f"label vector has shape {labels.shape}, expected ({n},)")
@@ -89,6 +108,13 @@ class EdgeMask:
         return EdgeMask(self.theta.copy())
 
 
+def _node_ids(nodes) -> np.ndarray:
+    """Node ids as an int64 array; arrays pass through without a copy."""
+    if isinstance(nodes, np.ndarray):
+        return nodes.astype(np.int64, copy=False)
+    return np.asarray(list(nodes), dtype=np.int64)
+
+
 def init_mask(g: SparseGraph, w0: float = 0.95) -> EdgeMask:
     """Mask starting near the unmasked graph (all weights = w0)."""
     if not 0.0 < w0 < 1.0:
@@ -96,15 +122,54 @@ def init_mask(g: SparseGraph, w0: float = 0.95) -> EdgeMask:
     return EdgeMask(np.full(g.m, logit(w0), dtype=np.float64))
 
 
-def _masked_adjacency(g: SparseGraph, mask: EdgeMask | None) -> sp.csr_matrix:
-    w = np.ones(g.m) if mask is None else mask.weights()
-    if g.m == 0:
-        return sp.csr_matrix((g.n, g.n))
+@dataclass(frozen=True)
+class _Layout:
+    """Fixed CSR sparsity pattern of one operator; a mask update rewrites only
+    the values. Slot s holds column indices[s] and takes the weight of edge
+    edge[s], where edge id m stands for a self-loop of weight 1."""
+
+    indptr: np.ndarray   # (n+1,) int32; every row has at least one slot
+    indices: np.ndarray  # (nnz,) int32
+    edge: np.ndarray     # (nnz,) int32
+    descending: bool     # columns run high to low within each row
+
+    def slot_weights(self, g: SparseGraph, mask: EdgeMask | None) -> np.ndarray:
+        w = np.ones(g.m) if mask is None else mask.weights()
+        if w.shape != (g.m,):
+            raise GraphError(f"mask has {w.size} weights, graph has {g.m} edges")
+        return np.append(w, 1.0)[self.edge]
+
+    def row_sums(self, data: np.ndarray) -> np.ndarray:
+        # Each row low column to high, as scipy's csr sum(axis=1) takes it:
+        # the sums, and so every output bit, depend on that order. Reversed
+        # end to end, a high-to-low layout lists its rows last to first,
+        # each one low to high.
+        if not self.descending:
+            return np.add.reduceat(data, self.indptr[:-1])
+        flipped = self.indptr[-1] - self.indptr[:0:-1]
+        return np.add.reduceat(data[::-1], flipped)[::-1]
+
+    def per_slot(self, row_values: np.ndarray) -> np.ndarray:
+        return np.repeat(row_values, np.diff(self.indptr))
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        n = self.indptr.size - 1
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+
+def _layout(g: SparseGraph, loops: np.ndarray, descending: bool = False) -> _Layout:
     i, j = g.edges[:, 0], g.edges[:, 1]
-    rows = np.concatenate([i, j])
-    cols = np.concatenate([j, i])
-    data = np.concatenate([w, w])
-    return sp.csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
+    rows = np.concatenate([i, j, loops])
+    cols = np.concatenate([j, i, loops])
+    ids = np.arange(g.m)
+    edge = np.concatenate([ids, ids, np.full(loops.size, g.m)])
+    order = np.lexsort((-cols if descending else cols, rows))
+    indptr = np.zeros(g.n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=g.n), out=indptr[1:])
+    arrays = [indptr, cols[order].astype(np.int32), edge[order].astype(np.int32)]
+    for a in arrays:
+        a.flags.writeable = False  # shared by every operator built on it
+    return _Layout(*arrays, descending)
 
 
 def propagation_operator(g: SparseGraph, mask: EdgeMask | None = None) -> sp.csr_matrix:
@@ -112,17 +177,13 @@ def propagation_operator(g: SparseGraph, mask: EdgeMask | None = None) -> sp.csr
 
     Entry (i, j) = weight(i, j) / sum_k weight(i, k). Isolated nodes get an
     identity row so they keep their own belief. mask=None means unit weights.
-    Recomputed from the mask on every call; never cache across mask updates.
+    The sparsity pattern is built once per graph and cached on it; each call
+    recomputes the entries from the mask, so the result always reflects the
+    mask passed in.
     """
-    W = _masked_adjacency(g, mask)
-    d = np.asarray(W.sum(axis=1)).ravel()
-    iso = d == 0
-    inv = np.zeros_like(d)
-    inv[~iso] = 1.0 / d[~iso]
-    P = sp.diags(inv) @ W
-    if iso.any():
-        P = P + sp.diags(iso.astype(np.float64))
-    return P.tocsr()
+    lay = g._propagation_layout
+    w = lay.slot_weights(g, mask)
+    return lay.matrix(lay.per_slot(1.0 / lay.row_sums(w)) * w)
 
 
 def gcn_operator(g: SparseGraph, mask: EdgeMask | None = None) -> sp.csr_matrix:
@@ -130,12 +191,12 @@ def gcn_operator(g: SparseGraph, mask: EdgeMask | None = None) -> sp.csr_matrix:
 
     S = Dt^(-1/2) (M*A + I) Dt^(-1/2) with Dt the row sums of (M*A + I).
     Isolated nodes reduce to an identity row through their self-loop.
+    Its sparsity pattern is cached per graph, as in propagation_operator.
     """
-    W = _masked_adjacency(g, mask) + sp.eye(g.n, format="csr")
-    d = np.asarray(W.sum(axis=1)).ravel()
-    dinv = 1.0 / np.sqrt(d)
-    D = sp.diags(dinv)
-    return (D @ W @ D).tocsr()
+    lay = g._gcn_layout
+    w = lay.slot_weights(g, mask)
+    dinv = 1.0 / np.sqrt(lay.row_sums(w))
+    return lay.matrix(lay.per_slot(dinv) * w * dinv[lay.indices])
 
 
 def heterophily_ratio(g: SparseGraph) -> float:

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.special import logit
 
 from .gnn import forward, init_classifier, loss_gradients, pu_loss
-from .graph import EdgeMask, SparseGraph, build_graph, propagation_operator
+from .graph import EdgeMask, SparseGraph, _node_ids, build_graph, propagation_operator
 from .propagation import (
     PropagationConfig,
     lpl_gradient,
@@ -21,7 +21,7 @@ from .propagation import (
 
 def f1_score(pred, truth, eval_set) -> float:
     """F1 of the +1 class over eval_set; 0 when precision + recall is 0."""
-    idx = np.asarray(list(eval_set), dtype=np.int64)
+    idx = _node_ids(eval_set)
     if idx.size == 0:
         raise ValueError("eval_set is empty")
     p = np.asarray(pred)[idx]

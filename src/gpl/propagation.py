@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import EdgeMask, SparseGraph, propagation_operator
+from .graph import EdgeMask, SparseGraph, _node_ids, propagation_operator
 
 LOG_EPS = 1e-12
 
@@ -79,11 +79,11 @@ def propagate(op: sp.csr_matrix, e0: np.ndarray, cfg: PropagationConfig) -> np.n
 
 
 def _check_anchor_sets(positives, negatives):
-    pos = np.asarray(list(positives), dtype=np.int64)
-    neg = np.asarray(list(negatives), dtype=np.int64) if negatives is not None else np.empty(0, np.int64)
+    pos = _node_ids(positives)
+    neg = _node_ids(negatives) if negatives is not None else np.empty(0, np.int64)
     if pos.size == 0:
         raise PropagationError("anchor positive set is empty")
-    if np.intersect1d(pos, neg).size:
+    if np.isin(pos, neg).any():
         raise PropagationError("anchor positive and negative sets overlap")
     return pos, neg
 
@@ -150,11 +150,12 @@ def lpl_gradient(
         live = bn > LOG_EPS
         G[neg[live], 0] = 1.0 / (len(neg) * (bn[live] + LOG_EPS))
 
-    opT = op.T.tocsr()
+    opT = op.T  # CSC view, no copy; its products match a CSR transpose bit for bit
     gamma = np.zeros(2 * g.m)
     for k in range(K, 0, -1):
-        gamma += (1.0 - cfg.alpha) * np.einsum(
-            "ec,ec->e", G[rows], states[k - 1][cols]
+        E = states[k - 1]
+        gamma += (1.0 - cfg.alpha) * (
+            G[:, 0][rows] * E[:, 0][cols] + G[:, 1][rows] * E[:, 1][cols]
         )
         if k > 1:
             G = cfg.alpha * G + (1.0 - cfg.alpha) * (opT @ G)
@@ -192,6 +193,7 @@ def optimize_mask(
         raise PropagationError("steps must be >= 1")
     if lr < 0:
         raise PropagationError("lr must be >= 0")
+    positives, negatives = _check_anchor_sets(positives, negatives)
     theta = mask.theta.copy()
 
     def loss_at(th):

@@ -18,7 +18,7 @@ from .gnn import (
     pu_loss,
     select_top,
 )
-from .graph import SparseGraph, gcn_operator, init_mask, propagation_operator
+from .graph import SparseGraph, _node_ids, gcn_operator, init_mask, propagation_operator
 from .metrics import edge_weight_means, f1_score
 from .propagation import (
     PropagationConfig,
@@ -128,6 +128,7 @@ def _fit_classifier(cfg: TrainConfig, op, X, positives, negatives, steps):
     the classifier pushes the unselected positives further down, the next
     selection trusts those scores, and the estimate decays toward zero.
     """
+    positives, negatives = _node_ids(positives), _node_ids(negatives)
     state = init_classifier(X.shape[1], hidden=cfg.hidden, seed=cfg.seed)
     lr = _LrSchedule(cfg)
     last = None

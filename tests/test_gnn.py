@@ -231,6 +231,23 @@ class TestCheckpoint:
         z2 = forward(loaded, op, g.features)
         np.testing.assert_array_equal(z1, z2)
 
+    @pytest.mark.parametrize("cut,line", [(5, 6), (1, 2)])
+    def test_truncated_file_names_line(self, tmp_path, cut, line):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_classifier(3, 4, seed=0), path)
+        path.write_text("".join(path.read_text().splitlines(True)[:cut]))
+        with pytest.raises(ClassifierError, match=f"model.ckpt: line {line}: file ends"):
+            load_checkpoint(path)
+
+    def test_malformed_step_counter_names_line(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_classifier(3, 4, seed=0), path)
+        lines = path.read_text().splitlines(True)
+        lines[1] = "t x\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ClassifierError, match="model.ckpt: line 2: expected 't <steps>'"):
+            load_checkpoint(path)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_text("not a checkpoint\n")

@@ -41,6 +41,14 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match="feature"):
             build_graph(3, [(0, 1)], np.zeros((2, 2)), np.ones(3, dtype=int))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected(self, bad):
+        X = np.zeros((4, 2))
+        X[2, 1] = bad
+        X[3, 0] = bad
+        with pytest.raises(GraphError, match="feature row 2"):
+            build_graph(4, [(0, 1)], X, np.ones(4, dtype=int))
+
     def test_degree_vector(self):
         g = _graph(4, [(0, 1), (2, 3)])
         assert g.degrees().tolist() == [1, 1, 1, 1]

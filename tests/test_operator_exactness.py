@@ -1,0 +1,161 @@
+"""Bit-for-bit checks of the fast paths against the plain formulations
+they replace: operators built from COO with scipy products, the einsum
+form of the mask-gradient accumulation, and the quadratic tail counts of
+the prior estimator. Outputs and traces are held to exact equality, so
+these compare with array_equal, never with a tolerance."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from gpl.cpe import estimate_prior
+from gpl.graph import (
+    EdgeMask,
+    build_graph,
+    gcn_operator,
+    propagation_operator,
+    rewire_to_heterophily,
+)
+from gpl.propagation import LOG_EPS, PropagationConfig, lpl_gradient
+from gpl.synth import PlantedConfig, generate_planted
+
+from conftest import random_graph
+
+
+def coo_adjacency(g, mask):
+    w = np.ones(g.m) if mask is None else mask.weights()
+    i, j = g.edges[:, 0], g.edges[:, 1]
+    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+    return sp.csr_matrix((np.concatenate([w, w]), (rows, cols)), shape=(g.n, g.n))
+
+
+def coo_propagation(g, mask):
+    W = coo_adjacency(g, mask)
+    d = np.asarray(W.sum(axis=1)).ravel()
+    iso = d == 0
+    inv = np.zeros_like(d)
+    inv[~iso] = 1.0 / d[~iso]
+    P = sp.diags(inv) @ W
+    if iso.any():
+        P = P + sp.diags(iso.astype(np.float64))
+    return P.tocsr()
+
+
+def coo_gcn(g, mask):
+    W = coo_adjacency(g, mask) + sp.eye(g.n, format="csr")
+    D = sp.diags(1.0 / np.sqrt(np.asarray(W.sum(axis=1)).ravel()))
+    return (D @ W @ D).tocsr()
+
+
+def assert_same_csr(a, b):
+    for part in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(a, part), getattr(b, part), err_msg=part)
+
+
+def random_mask(rng, g):
+    return EdgeMask(rng.normal(0.0, 2.0, size=g.m))
+
+
+def ring(n):
+    return build_graph(n, [(k, (k + 1) % n) for k in range(n)],
+                       np.zeros((n, 1)), np.ones(n, dtype=int))
+
+
+def graphs():
+    rng = np.random.default_rng(11)
+    yield "ring", ring(9)  # no isolated node
+    yield "isolated", build_graph(7, [(0, 1), (1, 2), (4, 6)],
+                                  np.zeros((7, 1)), np.ones(7, dtype=int))
+    yield "no_edges", build_graph(4, [], np.zeros((4, 1)), np.ones(4, dtype=int))
+    for k in range(6):
+        yield f"random{k}", random_graph(rng, 15, p=0.15 + 0.1 * k)
+    yield "planted", generate_planted(PlantedConfig(n=400, h=0.7, seed=3))
+
+
+@pytest.mark.parametrize("name,g", list(graphs()))
+def test_operators_match_coo_build(name, g):
+    rng = np.random.default_rng(5)
+    # several masks on one graph object: the cached pattern must not keep values
+    for mask in (None, random_mask(rng, g), random_mask(rng, g)):
+        assert_same_csr(propagation_operator(g, mask), coo_propagation(g, mask))
+        assert_same_csr(gcn_operator(g, mask), coo_gcn(g, mask))
+
+
+def test_rewired_graph_gets_its_own_pattern():
+    g = generate_planted(PlantedConfig(n=300, h=0.2, seed=1))
+    propagation_operator(g)
+    gcn_operator(g)
+    r = rewire_to_heterophily(g, 0.8, seed=2)
+    assert not np.array_equal(r.edges, g.edges)
+    mask = random_mask(np.random.default_rng(0), r)
+    assert_same_csr(propagation_operator(r, mask), coo_propagation(r, mask))
+    assert_same_csr(gcn_operator(r, mask), coo_gcn(r, mask))
+    assert propagation_operator(r).indices is not propagation_operator(g).indices
+
+
+def test_mask_length_checked():
+    g = ring(5)
+    with pytest.raises(ValueError, match="edges"):
+        propagation_operator(g, EdgeMask(np.zeros(g.m - 1)))
+
+
+def einsum_lpl_gradient(g, mask, e0, cfg, pos, neg):
+    """The mask gradient with row gathers and einsum, as first written."""
+    K = cfg.k_prop
+    w = mask.weights()
+    i, j = g.edges[:, 0], g.edges[:, 1]
+    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+    wdir = np.concatenate([w, w])
+    d = np.zeros(g.n)
+    np.add.at(d, rows, wdir)
+    op = coo_propagation(g, mask)
+    states = [np.array(e0, dtype=np.float64, copy=True)]
+    for _ in range(K):
+        states.append(cfg.alpha * states[-1] + (1.0 - cfg.alpha) * (op @ states[-1]))
+    G = np.zeros_like(states[-1])
+    bp = states[-1][pos, 1]
+    live = bp > LOG_EPS
+    G[pos[live], 1] = 1.0 / (len(pos) * (bp[live] + LOG_EPS))
+    if neg.size:
+        bn = states[-1][neg, 0]
+        live = bn > LOG_EPS
+        G[neg[live], 0] = 1.0 / (len(neg) * (bn[live] + LOG_EPS))
+    opT = op.T.tocsr()
+    gamma = np.zeros(2 * g.m)
+    for k in range(K, 0, -1):
+        gamma += (1.0 - cfg.alpha) * np.einsum("ec,ec->e", G[rows], states[k - 1][cols])
+        if k > 1:
+            G = cfg.alpha * G + (1.0 - cfg.alpha) * (opT @ G)
+    pdir = wdir / d[rows]
+    r = np.zeros(g.n)
+    np.add.at(r, rows, gamma * pdir)
+    grad_dir = (gamma - r[rows]) / d[rows]
+    return (grad_dir[: g.m] + grad_dir[g.m:]) * w * (1.0 - w)
+
+
+@pytest.mark.parametrize("name,g", [(n, g) for n, g in graphs() if g.m])
+def test_lpl_gradient_matches_einsum_form(name, g):
+    rng = np.random.default_rng(7)
+    cfg = PropagationConfig(alpha=0.4, k_prop=6)
+    e0 = rng.dirichlet([1.0, 1.0], size=g.n)
+    nodes = rng.permutation(g.n)
+    pos, neg = np.sort(nodes[: max(1, g.n // 3)]), np.sort(nodes[g.n // 3: g.n // 2])
+    mask = random_mask(rng, g)
+    got = lpl_gradient(g, mask, e0, cfg, pos, neg)
+    np.testing.assert_array_equal(got, einsum_lpl_gradient(g, mask, e0, cfg, pos, neg))
+
+
+def test_prior_tails_match_quadratic_counts():
+    rng = np.random.default_rng(4)
+    grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    for _ in range(20):
+        # few distinct values so that ties are common, with 0 and 1 present
+        sp_ = np.concatenate([rng.choice(grid, 30), rng.random(10), [0.0, 1.0]])
+        su = np.concatenate([rng.choice(grid, 50), rng.random(20), [1.0]])
+        est = estimate_prior(sp_, su, q_floor=0.0)
+        cand = np.array([row[0] for row in est.curve])
+        np.testing.assert_array_equal(cand, np.unique(np.concatenate([sp_, su, [0.0]])))
+        q_u = (su[None, :] >= cand[:, None]).mean(axis=1)
+        q_p = (sp_[None, :] >= cand[:, None]).mean(axis=1)
+        np.testing.assert_array_equal([row[1] for row in est.curve], q_u)
+        np.testing.assert_array_equal([row[2] for row in est.curve], q_p)

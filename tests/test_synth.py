@@ -164,6 +164,15 @@ class TestDatasetIO:
         with pytest.raises(DatasetError):
             load_dataset(tmp_path)
 
+    def test_nan_feature_rejected(self, two_blocks, tmp_path):
+        save_dataset(two_blocks, tmp_path)
+        feats = tmp_path / "features.csv"
+        lines = feats.read_text().splitlines()
+        lines[3] = ",".join(["nan"] * len(lines[3].split(",")))
+        feats.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match="feature row 3: non-finite"):
+            load_dataset(tmp_path)
+
     def test_multiclass_labels_binarized(self, tmp_path):
         (tmp_path / "edges.tsv").write_text("0\t1\n1\t2\n2\t3\n")
         (tmp_path / "features.csv").write_text("1.0\n2.0\n3.0\n4.0\n")
