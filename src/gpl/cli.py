@@ -183,15 +183,12 @@ def cmd_sweep(args) -> int:
         if args.var == "k_prop":
             cfg = replace(cfg, k_prop=int(round(value)))
         split = make_pu_split(g, rp, seed=seed)
-        summary = _run_one(g, split, cfg, method)[0]
-        return summary
+        return _run_one(g, split, cfg, method)[0]
 
     jobs = [(v, s, m) for v in values for s in seeds for m in methods]
     workers = max(1, int(os.environ.get("GPL_THREADS", "1")))
-    results = {}
     if workers == 1:
-        for key in jobs:
-            results[key] = job(*key)
+        results = {key: job(*key) for key in jobs}
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futs = {key: pool.submit(job, *key) for key in jobs}
@@ -204,7 +201,7 @@ def cmd_sweep(args) -> int:
     )
     with open(os.path.join(args.out, "runs.csv"), "w", encoding="utf-8") as f:
         f.write(run_cols + "\n")
-        for v, s, m in sorted(results, key=lambda k: (k[0], k[1], k[2])):
+        for v, s, m in sorted(results):
             r = results[(v, s, m)]
             f.write(
                 f"{args.var},{v:.17g},{s},{m},{r['f1']:.17g},{r['pi_hat']:.17g},"

@@ -43,11 +43,8 @@ class SparseGraph:
     @cached_property
     def _propagation_layout(self) -> _Layout:
         # An isolated node gets a self-loop slot: its weight 1 is its row sum,
-        # so its row comes out as the identity row. With no isolated node,
-        # rows run high to low, the slot order of the former scipy product
-        # D^-1 W, because op @ E sums each row in slot order.
-        iso = np.flatnonzero(self.degrees() == 0)
-        return _layout(self, iso, descending=iso.size == 0)
+        # so its row comes out as the identity row.
+        return _layout(self, np.flatnonzero(self.degrees() == 0))
 
     @cached_property
     def _gcn_layout(self) -> _Layout:
@@ -126,28 +123,18 @@ def init_mask(g: SparseGraph, w0: float = 0.95) -> EdgeMask:
 class _Layout:
     """Fixed CSR sparsity pattern of one operator; a mask update rewrites only
     the values. Slot s holds column indices[s] and takes the weight of edge
-    edge[s], where edge id m stands for a self-loop of weight 1."""
+    edge[s], where edge id m stands for a self-loop of weight 1. Columns
+    ascend within each row."""
 
     indptr: np.ndarray   # (n+1,) int32; every row has at least one slot
     indices: np.ndarray  # (nnz,) int32
     edge: np.ndarray     # (nnz,) int32
-    descending: bool     # columns run high to low within each row
 
-    def slot_weights(self, g: SparseGraph, mask: EdgeMask | None) -> np.ndarray:
-        w = np.ones(g.m) if mask is None else mask.weights()
-        if w.shape != (g.m,):
-            raise GraphError(f"mask has {w.size} weights, graph has {g.m} edges")
+    def slot_weights(self, w: np.ndarray) -> np.ndarray:
         return np.append(w, 1.0)[self.edge]
 
     def row_sums(self, data: np.ndarray) -> np.ndarray:
-        # Each row low column to high, as scipy's csr sum(axis=1) takes it:
-        # the sums, and so every output bit, depend on that order. Reversed
-        # end to end, a high-to-low layout lists its rows last to first,
-        # each one low to high.
-        if not self.descending:
-            return np.add.reduceat(data, self.indptr[:-1])
-        flipped = self.indptr[-1] - self.indptr[:0:-1]
-        return np.add.reduceat(data[::-1], flipped)[::-1]
+        return np.add.reduceat(data, self.indptr[:-1])
 
     def per_slot(self, row_values: np.ndarray) -> np.ndarray:
         return np.repeat(row_values, np.diff(self.indptr))
@@ -157,19 +144,26 @@ class _Layout:
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
 
-def _layout(g: SparseGraph, loops: np.ndarray, descending: bool = False) -> _Layout:
+def _edge_weights(g: SparseGraph, mask: EdgeMask | None) -> np.ndarray:
+    w = np.ones(g.m) if mask is None else mask.weights()
+    if w.shape != (g.m,):
+        raise GraphError(f"mask has {w.size} weights, graph has {g.m} edges")
+    return w
+
+
+def _layout(g: SparseGraph, loops: np.ndarray) -> _Layout:
     i, j = g.edges[:, 0], g.edges[:, 1]
     rows = np.concatenate([i, j, loops])
     cols = np.concatenate([j, i, loops])
     ids = np.arange(g.m)
     edge = np.concatenate([ids, ids, np.full(loops.size, g.m)])
-    order = np.lexsort((-cols if descending else cols, rows))
+    order = np.lexsort((cols, rows))
     indptr = np.zeros(g.n + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=g.n), out=indptr[1:])
     arrays = [indptr, cols[order].astype(np.int32), edge[order].astype(np.int32)]
     for a in arrays:
         a.flags.writeable = False  # shared by every operator built on it
-    return _Layout(*arrays, descending)
+    return _Layout(*arrays)
 
 
 def propagation_operator(g: SparseGraph, mask: EdgeMask | None = None) -> sp.csr_matrix:
@@ -182,8 +176,14 @@ def propagation_operator(g: SparseGraph, mask: EdgeMask | None = None) -> sp.csr
     mask passed in.
     """
     lay = g._propagation_layout
-    w = lay.slot_weights(g, mask)
+    w = lay.slot_weights(_edge_weights(g, mask))
     return lay.matrix(lay.per_slot(1.0 / lay.row_sums(w)) * w)
+
+
+def _propagation_degrees(g: SparseGraph, w: np.ndarray) -> np.ndarray:
+    """The row sums propagation_operator divides by, for edge weights w."""
+    lay = g._propagation_layout
+    return lay.row_sums(lay.slot_weights(w))
 
 
 def gcn_operator(g: SparseGraph, mask: EdgeMask | None = None) -> sp.csr_matrix:
@@ -194,7 +194,7 @@ def gcn_operator(g: SparseGraph, mask: EdgeMask | None = None) -> sp.csr_matrix:
     Its sparsity pattern is cached per graph, as in propagation_operator.
     """
     lay = g._gcn_layout
-    w = lay.slot_weights(g, mask)
+    w = lay.slot_weights(_edge_weights(g, mask))
     dinv = 1.0 / np.sqrt(lay.row_sums(w))
     return lay.matrix(lay.per_slot(dinv) * w * dinv[lay.indices])
 
@@ -208,13 +208,14 @@ def heterophily_ratio(g: SparseGraph) -> float:
     return float(np.mean(li != lj))
 
 
-def _pair_from_index(idx: int, ids: np.ndarray) -> tuple[int, int]:
-    # decode the idx-th pair of the upper triangle over len(ids) items
+def _pair_from_index(idx, ids: np.ndarray):
+    """(ids[i], ids[j]) for the idx-th pair i < j of the upper triangle over
+    len(ids) items; idx may be an array. ids ascend, so a pair runs low to
+    high."""
     k = len(ids)
-    i = int((2 * k - 1 - np.sqrt((2 * k - 1) ** 2 - 8 * idx)) // 2)
+    i = ((2 * k - 1 - np.sqrt((2 * k - 1) ** 2 - 8 * idx)) // 2).astype(np.int64)
     j = idx - i * (2 * k - i - 1) // 2 + i + 1
-    a, b = int(ids[i]), int(ids[int(j)])
-    return (a, b) if a < b else (b, a)
+    return ids[i], ids[j]
 
 
 def rewire_to_heterophily(g: SparseGraph, target_h: float, seed: int) -> SparseGraph:
@@ -268,9 +269,10 @@ def rewire_to_heterophily(g: SparseGraph, target_h: float, seed: int) -> SparseG
         while True:
             idx = int(rng.integers(n_pairs_within))
             if idx < n_pp:
-                e = _pair_from_index(idx, pos)
+                a, b = _pair_from_index(idx, pos)
             else:
-                e = _pair_from_index(idx - n_pp, neg)
+                a, b = _pair_from_index(idx - n_pp, neg)
+            e = (int(a), int(b))
             if e not in edge_set:
                 return e
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import EdgeMask, SparseGraph, _node_ids, propagation_operator
+from .graph import EdgeMask, SparseGraph, _node_ids, _propagation_degrees, propagation_operator
 
 LOG_EPS = 1e-12
 
@@ -133,10 +133,9 @@ def lpl_gradient(
     rows = np.concatenate([i, j])
     cols = np.concatenate([j, i])
     wdir = np.concatenate([w, w])
-    d = np.zeros(g.n)
-    np.add.at(d, rows, wdir)
 
     op = propagation_operator(g, mask)
+    d = _propagation_degrees(g, w)
     states = [np.array(e0, dtype=np.float64, copy=True)]
     for _ in range(K):
         states.append(cfg.alpha * states[-1] + (1.0 - cfg.alpha) * (op @ states[-1]))

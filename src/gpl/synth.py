@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphError, SparseGraph, build_graph
+from .graph import GraphError, SparseGraph, _pair_from_index, build_graph
 
 
 class DatasetError(ValueError):
@@ -42,13 +42,6 @@ class PUSplit:
     U: np.ndarray       # everything else, ascending
     r_p: float          # observed fraction of true positives
     pi_true: float      # hidden positives in U / |U|
-
-
-def _decode_pair(idx, k):
-    # index -> (i, j), i < j, over the upper triangle of a k x k block
-    i = int((2 * k - 1 - np.sqrt((2 * k - 1) ** 2 - 8 * idx)) // 2)
-    j = int(idx - i * (2 * k - i - 1) // 2 + i + 1)
-    return i, j
 
 
 def generate_planted(cfg: PlantedConfig) -> SparseGraph:
@@ -88,23 +81,19 @@ def generate_planted(cfg: PlantedConfig) -> SparseGraph:
     labels[pos_ids] = 1
 
     cross_flat = rng.choice(max_cross, size=want_cross, replace=False)
-    edges = [
-        (int(pos_ids[f // n_neg]), int(neg_ids[f % n_neg])) for f in cross_flat
-    ]
     n_pp = n_pos * (n_pos - 1) // 2
     within_flat = rng.choice(max_within, size=want_within, replace=False)
-    for f in within_flat:
-        if f < n_pp:
-            a, b = _decode_pair(int(f), n_pos)
-            edges.append((int(pos_ids[a]), int(pos_ids[b])))
-        else:
-            a, b = _decode_pair(int(f) - n_pp, n_neg)
-            edges.append((int(neg_ids[a]), int(neg_ids[b])))
+    in_pos = within_flat < n_pp
+    pa, pb = _pair_from_index(within_flat[in_pos], pos_ids)
+    na, nb = _pair_from_index(within_flat[~in_pos] - n_pp, neg_ids)
+    src = np.concatenate([pos_ids[cross_flat // n_neg], pa, na])
+    dst = np.concatenate([neg_ids[cross_flat % n_neg], pb, nb])
 
     mu = cfg.feature_separation
     features = rng.normal(size=(n, cfg.feature_dim))
     features[:, 0] += mu * labels
-    return build_graph(n, edges, features, labels)
+    # build_graph walks the pairs in Python, which is fastest on plain ints
+    return build_graph(n, zip(src.tolist(), dst.tolist()), features, labels)
 
 
 def binarize_labels(multi_labels) -> np.ndarray:

@@ -106,35 +106,42 @@ def _check_split(g: SparseGraph, split: PUSplit) -> None:
         raise TrainError("observed and unlabeled sets overlap")
 
 
-class _LrSchedule:
-    def __init__(self, cfg: TrainConfig):
-        self.cfg = cfg
-        self.step = 0
+def _adam_steps(cfg: TrainConfig, state, op, X, positives, negatives, steps):
+    """Run `steps` Adam updates of `state` on pu_loss. Returns (state, loss),
+    with the loss taken before the last update, or at `state` if steps is 0.
 
-    def __call__(self) -> float:
-        self.step += 1
-        if self.cfg.lr_schedule == "invsqrt":
-            return self.cfg.lr_clf / np.sqrt(self.step)
-        return self.cfg.lr_clf
-
-
-def _fit_classifier(cfg: TrainConfig, op, X, positives, negatives, steps):
-    """Solve the classifier subproblem from the seed initialization.
-
-    The bilevel objective evaluates the outer quantities at the inner
-    argmin, so every refit restarts from the same seed-derived weights and
-    runs to its own equilibrium instead of warm-starting. Warm starts under
-    a moving anchor set let early selection mistakes compound: each epoch
-    the classifier pushes the unselected positives further down, the next
-    selection trusts those scores, and the estimate decays toward zero.
+    The invsqrt rate at the state's t-th update is lr_clf / sqrt(t), so a
+    schedule carries on across calls that continue one state.
     """
     positives, negatives = _node_ids(positives), _node_ids(negatives)
-    state = init_classifier(X.shape[1], hidden=cfg.hidden, seed=cfg.seed)
-    lr = _LrSchedule(cfg)
-    last = None
+    if steps == 0:
+        return state, pu_loss(forward(state, op, X), positives, negatives)
     for _ in range(steps):
-        state, last = backward_and_step(state, op, X, positives, negatives, lr())
-    return state, last
+        lr = cfg.lr_clf
+        if cfg.lr_schedule == "invsqrt":
+            lr = cfg.lr_clf / np.sqrt(state.t + 1)
+        state, loss = backward_and_step(state, op, X, positives, negatives, lr)
+    return state, loss
+
+
+def _warm_start(g: SparseGraph, split: PUSplit, cfg: TrainConfig, op):
+    """Scores and prior estimate of a fresh classifier after cfg.warmup_steps
+    updates on `op` that treat all of U as negative. Returns (scores, prior).
+
+    Near-constant scores trigger a warning: the ratio curve then degenerates
+    to 1 everywhere, so the estimate comes out as 1.
+    """
+    X = g.features
+    state = init_classifier(X.shape[1], hidden=cfg.hidden, seed=cfg.seed)
+    state, _ = _adam_steps(cfg, state, op, X, split.P, split.U, cfg.warmup_steps)
+    z = forward(state, op, X)
+    if float(np.ptp(z)) < 1e-9:
+        warnings.warn(
+            "classifier scores are near-constant; the prior estimate is "
+            "degenerate. Warm the classifier up before estimating.",
+            stacklevel=3,
+        )
+    return z, estimate_prior(z[split.P], z[split.U])
 
 
 def run_gpl(g: SparseGraph, split: PUSplit, cfg: TrainConfig):
@@ -153,10 +160,7 @@ def run_gpl(g: SparseGraph, split: PUSplit, cfg: TrainConfig):
 
     # bootstrap: no selection exists yet, so warm a classifier on the
     # initial structure with all of U treated negative and estimate once
-    op = gcn_operator(g, mask)
-    clf, _ = _fit_classifier(cfg, op, X, split.P, split.U, cfg.warmup_steps)
-    z = forward(clf, op, X)
-    prior = estimate_prior(z[split.P], z[split.U])
+    z, prior = _warm_start(g, split, cfg, gcn_operator(g, mask))
     sel = select_top(split.U, z[split.U], prior.pi_hat)
 
     rows = []
@@ -177,13 +181,18 @@ def run_gpl(g: SparseGraph, split: PUSplit, cfg: TrainConfig):
             pos_anchor, neg_anchor,
         )
 
+        # Refit from the seed initialization, not warm-started. The bilevel
+        # objective evaluates the outer quantities at the inner argmin. Warm
+        # starts under a moving anchor set let early selection mistakes
+        # compound: each epoch the classifier pushes the unselected positives
+        # further down, the next selection trusts those scores, and the
+        # estimate decays toward zero.
         op = gcn_operator(g, mask)
-        clf, clf_loss = _fit_classifier(
-            cfg, op, X, pos_anchor, neg_anchor, cfg.clf_steps_per_epoch
+        clf = init_classifier(X.shape[1], hidden=cfg.hidden, seed=cfg.seed)
+        clf, clf_loss = _adam_steps(
+            cfg, clf, op, X, pos_anchor, neg_anchor, cfg.clf_steps_per_epoch
         )
         z = forward(clf, op, X)
-        if clf_loss is None:
-            clf_loss = pu_loss(z, pos_anchor, neg_anchor)
 
         prior = estimate_prior(z[split.P], z[split.U])
         sel = select_top(split.U, z[split.U], prior.pi_hat)
@@ -207,22 +216,17 @@ def run_baseline(g: SparseGraph, split: PUSplit, cfg: TrainConfig):
     _check_split(g, split)
     clf = init_classifier(g.features.shape[1], hidden=cfg.hidden, seed=cfg.seed)
     X = g.features
-    lr = _LrSchedule(cfg)
     op = gcn_operator(g, None)
     homo, hetero = edge_weight_means(g, None)
-
-    for _ in range(cfg.warmup_steps):
-        clf, _ = backward_and_step(clf, op, X, split.P, split.U, lr())
+    clf, _ = _adam_steps(cfg, clf, op, X, split.P, split.U, cfg.warmup_steps)
 
     rows = []
     nan = float("nan")
     for epoch in range(1, cfg.outer_epochs + 1):
-        clf_loss = None
-        for _ in range(cfg.clf_steps_per_epoch):
-            clf, clf_loss = backward_and_step(clf, op, X, split.P, split.U, lr())
+        clf, clf_loss = _adam_steps(
+            cfg, clf, op, X, split.P, split.U, cfg.clf_steps_per_epoch
+        )
         zf = forward(clf, op, X)
-        if clf_loss is None:
-            clf_loss = pu_loss(zf, split.P, split.U)
         prior = estimate_prior(zf[split.P], zf[split.U])
         f1 = f1_score(predict_labels(zf), g.labels, split.U)
         if not np.isfinite(clf_loss) or not np.isfinite(f1):
@@ -232,25 +236,13 @@ def run_baseline(g: SparseGraph, split: PUSplit, cfg: TrainConfig):
     return clf, TrainTrace(tuple(rows))
 
 
-def first_epoch_prior(g: SparseGraph, split: PUSplit, cfg: TrainConfig, state=None) -> PriorEstimate:
-    """Bootstrap prior estimate before any mask learning.
+def first_epoch_prior(g: SparseGraph, split: PUSplit, cfg: TrainConfig) -> PriorEstimate:
+    """The prior estimate run_gpl bootstraps from, before any mask learning.
 
-    Scores come from a freshly initialized classifier on the original
-    unmasked structure, after cfg.warmup_steps updates that treat all of U
-    as negative. With warmup_steps=0 and untrained weights the scores carry
-    no signal; near-constant scores trigger a warning because the ratio
-    curve then degenerates to 1 everywhere (the estimate comes out as 1).
+    Scores come from a fresh classifier after cfg.warmup_steps updates on
+    the initial mask's operator (init_mask) that treat all of U as
+    negative. Near-constant scores, as untrained weights give with
+    warmup_steps=0, trigger a warning and an estimate of 1.
     """
     _check_split(g, split)
-    op = gcn_operator(g, None)
-    X = g.features
-    if state is None:
-        state, _ = _fit_classifier(cfg, op, X, split.P, split.U, cfg.warmup_steps)
-    z = forward(state, op, X)
-    if float(np.ptp(z)) < 1e-9:
-        warnings.warn(
-            "classifier scores are near-constant; the prior estimate is "
-            "degenerate. Warm the classifier up before estimating.",
-            stacklevel=2,
-        )
-    return estimate_prior(z[split.P], z[split.U])
+    return _warm_start(g, split, cfg, gcn_operator(g, init_mask(g)))[1]

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from gpl.graph import (
     GraphError,
+    _pair_from_index,
     build_graph,
     gcn_operator,
     heterophily_ratio,
@@ -120,6 +121,14 @@ class TestRewire:
         g = _graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)], [1, 1, 1, -1])
         with pytest.raises(GraphError, match="achievable"):
             rewire_to_heterophily(g, 1.0, seed=0)
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 40])
+    def test_pair_decoder_enumerates_upper_triangle(self, k):
+        ids = np.sort(np.random.default_rng(k).choice(10 * k, k, replace=False))
+        want = [(ids[i], ids[j]) for i in range(k) for j in range(i + 1, k)]
+        a, b = _pair_from_index(np.arange(len(want)), ids)
+        assert list(zip(a, b)) == want
+        assert [_pair_from_index(idx, ids) for idx in range(len(want))] == want
 
 
 class TestOperators:

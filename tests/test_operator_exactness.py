@@ -38,7 +38,7 @@ def coo_propagation(g, mask):
     P = sp.diags(inv) @ W
     if iso.any():
         P = P + sp.diags(iso.astype(np.float64))
-    return P.tocsr()
+    return P.tocsr().sorted_indices()
 
 
 def coo_gcn(g, mask):
@@ -106,8 +106,7 @@ def einsum_lpl_gradient(g, mask, e0, cfg, pos, neg):
     i, j = g.edges[:, 0], g.edges[:, 1]
     rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
     wdir = np.concatenate([w, w])
-    d = np.zeros(g.n)
-    np.add.at(d, rows, wdir)
+    d = np.asarray(coo_adjacency(g, mask).sum(axis=1)).ravel()
     op = coo_propagation(g, mask)
     states = [np.array(e0, dtype=np.float64, copy=True)]
     for _ in range(K):

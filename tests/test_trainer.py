@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from gpl.graph import build_graph, init_mask
+from gpl.gnn import backward_and_step, init_classifier
+from gpl.graph import build_graph, gcn_operator, init_mask
 from gpl.synth import PlantedConfig, PUSplit, generate_planted, make_pu_split
 from gpl.trainer import (
     TRACE_COLUMNS,
@@ -168,6 +169,26 @@ class TestBaseline:
                           clf_steps_per_epoch=150, warmup_steps=20)
         _, trace = run_baseline(g, split, cfg)
         assert trace.rows[-1].f1_u <= 0.5
+
+    def test_invsqrt_schedule_spans_warmup_and_epochs(self):
+        # one Adam state runs from warm-up through every epoch, so the
+        # t-th update of the run uses lr_clf / sqrt(t)
+        g, split = small_problem(0.3)
+        cfg = TrainConfig(outer_epochs=2, clf_steps_per_epoch=15,
+                          warmup_steps=10, lr_clf=0.05, lr_schedule="invsqrt")
+        clf, trace = run_baseline(g, split, cfg)
+        op = gcn_operator(g, None)
+        ref = init_classifier(g.features.shape[1], hidden=cfg.hidden,
+                              seed=cfg.seed)
+        losses = []
+        for t in range(1, 10 + 2 * 15 + 1):
+            ref, loss = backward_and_step(ref, op, g.features, split.P,
+                                          split.U, cfg.lr_clf / np.sqrt(t))
+            losses.append(loss)
+        assert clf.t == ref.t == 40
+        for k, p in ref.params().items():
+            np.testing.assert_array_equal(getattr(clf, k), p, err_msg=k)
+        assert [r.clf_loss for r in trace.rows] == [losses[24], losses[39]]
 
 
 class TestGplVsBaseline:
