@@ -15,8 +15,9 @@ class PriorEstimationError(ValueError):
 class PriorEstimate:
     pi_hat: float
     c_star: float
-    # one row per candidate threshold: (c, q_u, q_p, ratio, admissible)
-    curve: tuple
+    # (k, 5) array, one row per candidate threshold: c, q_u, q_p, ratio,
+    # admissible (1.0 or 0.0)
+    curve: np.ndarray
 
 
 def _as_scores(x, name) -> np.ndarray:
@@ -65,10 +66,7 @@ def estimate_prior(scores_p, scores_u, q_floor: float | None = None) -> PriorEst
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(q_p > 0, q_u / np.where(q_p > 0, q_p, 1.0), np.inf)
 
-    curve = tuple(
-        (float(c), float(qu), float(qp), float(rt), bool(ad))
-        for c, qu, qp, rt, ad in zip(cand, q_u, q_p, ratio, admissible)
-    )
+    curve = np.column_stack([cand, q_u, q_p, ratio, admissible])
     if not admissible.any():
         ok = np.flatnonzero(q_p > 0)
         hint = f"{cand[ok[-1]]:.6g}" if ok.size else "none"

@@ -33,11 +33,7 @@ class SparseGraph:
         return int(self.edges.shape[0])
 
     def degrees(self) -> np.ndarray:
-        d = np.zeros(self.n, dtype=np.int64)
-        if self.m:
-            np.add.at(d, self.edges[:, 0], 1)
-            np.add.at(d, self.edges[:, 1], 1)
-        return d
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
     # Operator layouts, built on first use and kept for the graph's lifetime.
     @cached_property
@@ -221,9 +217,14 @@ def _pair_from_index(idx, ids: np.ndarray):
 def rewire_to_heterophily(g: SparseGraph, target_h: float, seed: int) -> SparseGraph:
     """Swap edges until the heterophily ratio is within 0.02 of target_h.
 
-    Each move removes a uniformly random edge of the over-represented type
-    and adds a uniformly random absent pair of the under-represented type,
-    so the edge count is preserved exactly. Deterministic per seed.
+    All moves are drawn at once: a uniformly random subset of the edges of
+    the over-represented type is removed, and as many distinct, uniformly
+    random absent pairs of the other type are added, so the edge count is
+    preserved exactly. Added pairs are drawn in batches; pairs already in
+    the graph and repeats are dropped, keeping draw order. This has the
+    distribution of moves made one at a time, but not their draws: a seed
+    picks other edges than the earlier one-move-at-a-time loop did.
+    Deterministic per seed.
     """
     if not 0.0 <= target_h <= 1.0:
         raise GraphError("target heterophily must lie in [0, 1]")
@@ -245,50 +246,37 @@ def rewire_to_heterophily(g: SparseGraph, target_h: float, seed: int) -> SparseG
             f"at granularity {1.0 / m:.3f}"
         )
 
-    edge_set = {(int(i), int(j)) for i, j in g.edges}
-    is_cross = lambda e: g.labels[e[0]] != g.labels[e[1]]
-    cross = [e for e in edge_set if is_cross(e)]
-    within = [e for e in edge_set if not is_cross(e)]
-    if len(cross) == target_cross:
+    i, j = g.edges[:, 0], g.edges[:, 1]
+    is_cross = g.labels[i] != g.labels[j]
+    moves = target_cross - int(is_cross.sum())  # > 0: within edges become cross
+    if moves == 0:
         return g
+    k = abs(moves)
 
     rng = np.random.default_rng(seed)
-
-    def sample_absent_cross():
-        while True:
-            a = int(pos[rng.integers(len(pos))])
-            b = int(neg[rng.integers(len(neg))])
-            e = (a, b) if a < b else (b, a)
-            if e not in edge_set:
-                return e
-
+    n = g.n
+    keys = i * n + j
+    removed = rng.choice(np.flatnonzero(is_cross == (moves < 0)), k, replace=False)
     n_pp = len(pos) * (len(pos) - 1) // 2
-    n_pairs_within = n_pp + len(neg) * (len(neg) - 1) // 2
 
-    def sample_absent_within():
-        while True:
-            idx = int(rng.integers(n_pairs_within))
-            if idx < n_pp:
-                a, b = _pair_from_index(idx, pos)
-            else:
-                a, b = _pair_from_index(idx - n_pp, neg)
-            e = (int(a), int(b))
-            if e not in edge_set:
-                return e
+    def draw(size):
+        """Keys i*n+j (i < j) of `size` uniform pairs of the type being added."""
+        if moves > 0:
+            a = pos[rng.integers(len(pos), size=size)]
+            b = neg[rng.integers(len(neg), size=size)]
+            return np.minimum(a, b) * n + np.maximum(a, b)
+        idx = rng.integers(max_within, size=size)
+        a, b = np.empty(size, np.int64), np.empty(size, np.int64)
+        pp = idx < n_pp
+        a[pp], b[pp] = _pair_from_index(idx[pp], pos)
+        a[~pp], b[~pp] = _pair_from_index(idx[~pp] - n_pp, neg)
+        return a * n + b
 
-    while len(cross) != target_cross:
-        if len(cross) < target_cross:
-            k = int(rng.integers(len(within)))
-            removed = within.pop(k)
-            added = sample_absent_cross()
-            cross.append(added)
-        else:
-            k = int(rng.integers(len(cross)))
-            removed = cross.pop(k)
-            added = sample_absent_within()
-            within.append(added)
-        edge_set.discard(removed)
-        edge_set.add(added)
-
-    new_edges = np.array(sorted(edge_set), dtype=np.int64)
-    return SparseGraph(n=g.n, edges=new_edges, features=g.features, labels=g.labels)
+    added, first = np.empty(0, np.int64), np.empty(0, np.int64)
+    while first.size < k:
+        batch = draw(2 * k)
+        added = np.concatenate([added, batch[~np.isin(batch, keys)]])
+        first = np.sort(np.unique(added, return_index=True)[1])
+    new_keys = np.sort(np.concatenate([np.delete(keys, removed), added[first[:k]]]))
+    edges = np.column_stack([new_keys // n, new_keys % n])
+    return SparseGraph(n=n, edges=edges, features=g.features, labels=g.labels)

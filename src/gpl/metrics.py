@@ -10,7 +10,7 @@ import numpy as np
 from scipy.special import logit
 
 from .gnn import forward, init_classifier, loss_gradients, pu_loss
-from .graph import EdgeMask, SparseGraph, _node_ids, build_graph, propagation_operator
+from .graph import EdgeMask, SparseGraph, _edge_weights, _node_ids, build_graph, propagation_operator
 from .propagation import (
     PropagationConfig,
     lpl_gradient,
@@ -131,7 +131,7 @@ def irreducibility_diagnostic(scores, quantile: float = 0.01) -> float:
 
 def edge_weight_means(g: SparseGraph, mask: EdgeMask | None):
     """(mean weight on homophilic edges, mean on heterophilic edges); nan if absent."""
-    w = np.ones(g.m) if mask is None else mask.weights()
+    w = _edge_weights(g, mask)
     li = g.labels[g.edges[:, 0]]
     lj = g.labels[g.edges[:, 1]]
     hetero = li != lj
@@ -162,7 +162,7 @@ def random_test_graph(rng, n: int, p: float) -> SparseGraph:
         edges = np.array([[0, 1 % n]]) if n > 1 else np.zeros((0, 2), dtype=int)
     labels = rng.choice([-1, 1], size=n)
     feats = rng.normal(size=(n, 3))
-    return build_graph(n, [tuple(e) for e in edges], feats, labels)
+    return build_graph(n, edges, feats, labels)
 
 
 def random_mask(rng, g: SparseGraph) -> EdgeMask:
@@ -305,7 +305,7 @@ def contraction_instance(rng):
     labels = rng.choice([-1, 1], size=n)
     wfull = rng.uniform(0.05, 1.0, size=(n, n))
     x = rng.normal(size=(n, d))
-    g = build_graph(n, [tuple(e) for e in edges], np.zeros((n, 1)), labels)
+    g = build_graph(n, edges, np.zeros((n, 1)), labels)
     w = wfull[g.edges[:, 0], g.edges[:, 1]]
     return g, EdgeMask(logit(w)), x
 

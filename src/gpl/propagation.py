@@ -31,36 +31,25 @@ class PropagationConfig:
             raise PropagationError("k_prop must be >= 0")
 
 
-def init_beliefs(split, identified=None) -> np.ndarray:
+def init_beliefs(split, *, positives=(), negatives=()) -> np.ndarray:
     """Initial n x 2 class beliefs, rows [P(y=+1), P(y=-1)].
 
-    Observed positives and identified positives get [1, 0], identified
-    negatives get [0, 1], everything else the uniform row [0.5, 0.5].
-    `identified` maps unlabeled node -> sign (+1/-1); any iterable of
-    (node, sign) pairs is accepted.
+    Observed positives and the identified `positives` get [1, 0], the
+    identified `negatives` get [0, 1], everything else the uniform row
+    [0.5, 0.5]. Identified ids must be unlabeled nodes, each in one set only.
     """
     n = len(split.P) + len(split.U)
+    pos, neg = _node_ids(positives), _node_ids(negatives)
+    ids = np.concatenate([pos, neg])
+    bad = ids[~np.isin(ids, split.U)]
+    if bad.size:
+        raise PropagationError(f"identified node {bad[0]} is not unlabeled")
+    both = np.intersect1d(pos, neg)
+    if both.size:
+        raise PropagationError(f"node {both[0]} identified as both positive and negative")
     e0 = np.full((n, 2), 0.5, dtype=np.float64)
-    e0[split.P, 0] = 1.0
-    e0[split.P, 1] = 0.0
-    if identified is not None:
-        items = identified.items() if hasattr(identified, "items") else identified
-        u_set = set(int(u) for u in split.U)
-        seen_pos, seen_neg = set(), set()
-        for node, sign in items:
-            node = int(node)
-            if node not in u_set:
-                raise PropagationError(f"identified node {node} is not unlabeled")
-            (seen_pos if sign > 0 else seen_neg).add(node)
-        both = seen_pos & seen_neg
-        if both:
-            raise PropagationError(
-                f"node {min(both)} identified as both positive and negative"
-            )
-        for node in seen_pos:
-            e0[node] = (1.0, 0.0)
-        for node in seen_neg:
-            e0[node] = (0.0, 1.0)
+    e0[np.concatenate([split.P, pos])] = (1.0, 0.0)
+    e0[neg] = (0.0, 1.0)
     return e0
 
 

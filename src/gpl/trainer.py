@@ -5,7 +5,7 @@ classifier refits, plus the unit-weight reference run."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -78,15 +78,7 @@ class TrainTrace:
     rows: tuple
 
 
-TRACE_COLUMNS = (
-    "epoch",
-    "lpl_loss",
-    "pi_hat",
-    "clf_loss",
-    "f1_u",
-    "mean_weight_homo",
-    "mean_weight_hetero",
-)
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
 
 
 def trace_to_csv(trace: TrainTrace, path) -> None:
@@ -165,9 +157,7 @@ def run_gpl(g: SparseGraph, split: PUSplit, cfg: TrainConfig):
 
     rows = []
     for epoch in range(1, cfg.outer_epochs + 1):
-        identified = {int(u): 1 for u in sel.s_set}
-        identified.update((int(u), -1) for u in sel.complement)
-        e0 = init_beliefs(split, identified)
+        e0 = init_beliefs(split, positives=sel.s_set, negatives=sel.complement)
         pos_anchor = np.concatenate([split.P, sel.s_set])
         neg_anchor = sel.complement
 

@@ -13,6 +13,7 @@ from gpl.graph import (
     propagation_operator,
     rewire_to_heterophily,
 )
+from gpl.synth import PlantedConfig, generate_planted
 
 from conftest import random_graph
 
@@ -115,6 +116,25 @@ class TestRewire:
             assert g2.n == g.n
             assert abs(g2.m - g.m) <= 1
             assert abs(heterophily_ratio(g2) - 0.5) <= 0.02
+
+    @pytest.mark.parametrize("h0, target", [(0.2, 0.7), (0.7, 0.2), (0.3, 1.0), (0.6, 0.0)])
+    def test_moves_only_the_right_edges(self, h0, target):
+        g = generate_planted(PlantedConfig(n=200, h=h0, avg_degree=6, seed=4))
+        r = rewire_to_heterophily(g, target, seed=1)
+        assert (r.n, r.m) == (g.n, g.m)
+        assert r.edges.dtype == np.int64
+        assert (r.edges[:, 0] < r.edges[:, 1]).all()
+        keys = r.edges[:, 0] * r.n + r.edges[:, 1]
+        assert (np.diff(keys) > 0).all()  # sorted, no repeats
+        cross = lambda e: g.labels[e // g.n] != g.labels[e % g.n]
+        old = g.edges[:, 0] * g.n + g.edges[:, 1]
+        removed, added = np.setdiff1d(old, keys), np.setdiff1d(keys, old)
+        target_cross = round(target * g.m)
+        assert cross(keys).sum() == target_cross
+        assert removed.size == added.size == abs(target_cross - cross(old).sum())
+        up = target > h0
+        assert (cross(removed) != up).all()  # only the over-represented type goes
+        assert (cross(added) == up).all()    # only absent pairs of the other type come
 
     def test_unreachable_target_errors(self):
         # 3 positives, 1 negative: at most 3 cross pairs exist, 5 edges wanted

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import gpl.metrics as metrics
-from gpl.graph import build_graph, gcn_operator, init_mask
+from gpl.graph import EdgeMask, GraphError, build_graph, gcn_operator, init_mask
 from gpl.metrics import (
     check_aggregation_contraction,
     check_influence_sum,
     dpn_distance,
+    edge_weight_means,
     f1_score,
     heterophily_influence,
     irreducibility_diagnostic,
@@ -165,6 +166,19 @@ class TestDpnDistance:
         total = dpn_distance(x, g)
         per_dim = sum(dpn_distance(x[:, j], g) for j in range(3))
         assert total == pytest.approx(per_dim, abs=1e-12)
+
+
+class TestEdgeWeightMeans:
+    def test_hand_value(self, path3):
+        # both edges of the path 0-1-2 cross classes
+        mask = init_mask(path3, w0=0.25)
+        homo, hetero = edge_weight_means(path3, mask)
+        assert np.isnan(homo)
+        assert hetero == pytest.approx(0.25)
+
+    def test_mask_length_checked(self, path3):
+        with pytest.raises(GraphError, match="mask has 3 weights, graph has 2 edges"):
+            edge_weight_means(path3, EdgeMask(np.zeros(3)))
 
 
 class TestContraction:

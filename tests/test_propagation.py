@@ -30,24 +30,32 @@ class TestInitBeliefs:
         np.testing.assert_allclose(e0, [[1, 0], [0.5, 0.5], [0.5, 0.5]])
 
     def test_identified_negative(self):
-        e0 = init_beliefs(split_of(3, [0]), {2: -1})
+        e0 = init_beliefs(split_of(3, [0]), negatives=[2])
         np.testing.assert_allclose(e0, [[1, 0], [0.5, 0.5], [0, 1]])
 
     def test_all_unlabeled(self):
         e0 = init_beliefs(split_of(3, []))
         np.testing.assert_allclose(e0, np.full((3, 2), 0.5))
 
-    def test_pair_iterable_accepted(self):
-        e0 = init_beliefs(split_of(3, [0]), [(1, 1), (2, -1)])
+    def test_identified_positives_and_negatives(self):
+        e0 = init_beliefs(split_of(3, [0]), positives=np.array([1]), negatives=[2])
         np.testing.assert_allclose(e0, [[1, 0], [1, 0], [0, 1]])
 
     def test_identified_must_be_unlabeled(self):
-        with pytest.raises(PropagationError, match="not unlabeled"):
-            init_beliefs(split_of(3, [0]), {0: -1})
+        # observed positives and out-of-range ids alike
+        for ids in ({"negatives": [0]}, {"positives": [0]},
+                    {"negatives": [3]}, {"positives": [1, -1]}):
+            with pytest.raises(PropagationError, match="not unlabeled"):
+                init_beliefs(split_of(3, [0]), **ids)
 
     def test_conflicting_signs_rejected(self):
-        with pytest.raises(PropagationError, match="both"):
-            init_beliefs(split_of(3, [0]), [(1, 1), (1, -1)])
+        with pytest.raises(PropagationError, match="node 1 identified as both"):
+            init_beliefs(split_of(3, [0]), positives=[1, 2], negatives=[1])
+
+    def test_positional_mapping_rejected(self):
+        # a {node: sign} mapping must not be read as a set of positives
+        with pytest.raises(TypeError):
+            init_beliefs(split_of(3, [0]), {2: -1})
 
 
 class TestPropagate:
@@ -79,7 +87,7 @@ class TestPropagate:
             mask.theta[:] = rng.normal(size=g.m)
             op = propagation_operator(g, mask)
             cfg = PropagationConfig(alpha=0.3, k_prop=4)
-            e0 = init_beliefs(split_of(9, [0, 3]), {5: -1})
+            e0 = init_beliefs(split_of(9, [0, 3]), negatives=[5])
             dense = op.toarray()
             E = e0.copy()
             for _ in range(cfg.k_prop):
@@ -156,7 +164,7 @@ class TestLplGradient:
             mask = init_mask(g)
             mask.theta[:] = rng.normal(size=g.m)
             split = split_of(8, [0, 1])
-            e0 = init_beliefs(split, {6: -1, 7: -1})
+            e0 = init_beliefs(split, negatives=[6, 7])
             got = lpl_gradient(g, mask, e0, cfg, [0, 1], [6, 7])
             want = fd_gradient(g, mask, e0, cfg, [0, 1], [6, 7])
             big = np.abs(want) > 1e-8
@@ -172,7 +180,7 @@ class TestLplGradient:
         g = random_graph(rng, 5)
         mask = init_mask(g)
         cfg = PropagationConfig(alpha=0.999, k_prop=2)
-        e0 = init_beliefs(split_of(5, [0]), {4: -1})
+        e0 = init_beliefs(split_of(5, [0]), negatives=[4])
         step = 1e-4
         sens = 0.0
         for e in range(g.m):
@@ -204,7 +212,7 @@ class TestLplGradient:
             mask = init_mask(g)
             mask.theta[:] = rng.normal(size=g.m)
             cfg = PropagationConfig(alpha=0.6, k_prop=4)
-            e0 = init_beliefs(split_of(10, [0]), {9: -1})
+            e0 = init_beliefs(split_of(10, [0]), negatives=[9])
             grad = lpl_gradient(g, mask, e0, cfg, [0], [9])
             assert np.isfinite(grad).all()
 
@@ -213,7 +221,7 @@ class TestOptimizeMask:
     def test_null_update(self, path3):
         mask = init_mask(path3)
         cfg = PropagationConfig(alpha=0.5, k_prop=2)
-        e0 = init_beliefs(split_of(3, [0]), {1: -1})
+        e0 = init_beliefs(split_of(3, [0]), negatives=[1])
         out = optimize_mask(path3, mask, e0, cfg, [0], [1], steps=1, lr=0.0)
         np.testing.assert_array_equal(out.theta, mask.theta)
 
@@ -223,8 +231,7 @@ class TestOptimizeMask:
         g = generate_planted(cfg)
         split = make_pu_split(g, 1.0, seed=3)
         # full observation: U holds only negatives, so anchor them all
-        ident = {int(u): -1 for u in split.U}
-        e0 = init_beliefs(split, ident)
+        e0 = init_beliefs(split, negatives=split.U)
         pcfg = PropagationConfig(alpha=0.5, k_prop=10)
         mask = optimize_mask(g, init_mask(g), e0, pcfg, split.P, split.U,
                              steps=200, lr=0.1)
@@ -239,7 +246,7 @@ class TestOptimizeMask:
             rng = np.random.default_rng(seed)
             g = random_graph(rng, 10)
             split = split_of(10, [0, 1])
-            e0 = init_beliefs(split, {8: -1, 9: -1})
+            e0 = init_beliefs(split, negatives=[8, 9])
             m0 = init_mask(g)
             before = lpl_loss(
                 propagate(propagation_operator(g, m0), e0, pcfg), [0, 1], [8, 9])
@@ -252,6 +259,6 @@ class TestOptimizeMask:
         mask = init_mask(path3)
         theta0 = mask.theta.copy()
         cfg = PropagationConfig(alpha=0.5, k_prop=2)
-        e0 = init_beliefs(split_of(3, [0]), {1: -1})
+        e0 = init_beliefs(split_of(3, [0]), negatives=[1])
         optimize_mask(path3, mask, e0, cfg, [0], [1], steps=5, lr=0.5)
         np.testing.assert_array_equal(mask.theta, theta0)

@@ -118,7 +118,9 @@ class TestTraceShape:
         path = tmp_path / "trace.csv"
         trace_to_csv(trace, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == ",".join(TRACE_COLUMNS)
+        assert lines[0] == ",".join(TRACE_COLUMNS) == (
+            "epoch,lpl_loss,pi_hat,clf_loss,f1_u,mean_weight_homo,mean_weight_hetero"
+        )
         assert len(lines) == 1 + len(trace.rows)
         first = lines[1].split(",")
         assert int(first[0]) == 1
