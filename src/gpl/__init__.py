@@ -6,6 +6,7 @@ from .gnn import (
     ClassifierError,
     ClassifierState,
     SelectionResult,
+    Workspace,
     backward_and_step,
     forward,
     init_classifier,

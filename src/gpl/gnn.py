@@ -54,18 +54,47 @@ def init_classifier(d_in: int, hidden: int = 16, seed: int = 0) -> ClassifierSta
     return state
 
 
-def _forward_cache(state: ClassifierState, op, X):
-    xs = op @ X
-    pre1 = xs @ state.W1 + state.b1
-    h1 = np.maximum(pre1, 0.0)
-    pre2 = (op @ (h1 @ state.W2)).ravel() + state.b2[0]
-    z = expit(pre2)
-    return z, pre2, h1, pre1, xs
+class Workspace:
+    """Buffers for forward and loss_gradients on one operator and feature
+    matrix: the first aggregation xs = op @ X, constant while the operator
+    is, and n x hidden scratch arrays. Build one per fit and pass it as
+    `work=`. Every call writes the scratch arrays before it reads them, so
+    sharing a workspace between calls leaves every result bit for bit the
+    same.
+    """
+
+    def __init__(self, op, X, hidden: int):
+        self.op, self.X = op, X
+        self.xs = op @ X
+        n = op.shape[0]
+        self.pre1 = np.empty((n, hidden))
+        self.h1 = np.empty((n, hidden))
+        self.dpre1 = np.empty((n, hidden))
+        self.relu = np.empty((n, hidden), dtype=bool)
 
 
-def forward(state: ClassifierState, op, X) -> np.ndarray:
-    """Per-node positive posterior z = sigmoid(S relu(S X W1 + b1) W2 + b2)."""
-    return _forward_cache(state, op, X)[0]
+def _workspace(state: ClassifierState, op, X, work):
+    if work is None:
+        return Workspace(op, X, state.W1.shape[1])
+    if work.op is not op or work.X is not X or work.pre1.shape[1] != state.W1.shape[1]:
+        raise ClassifierError("workspace was built for another operator, feature matrix or hidden size")
+    return work
+
+
+def _forward_cache(state: ClassifierState, work: Workspace):
+    np.matmul(work.xs, state.W1, out=work.pre1)
+    work.pre1 += state.b1
+    np.maximum(work.pre1, 0.0, out=work.h1)
+    pre2 = (work.op @ (work.h1 @ state.W2)).ravel() + state.b2[0]
+    return expit(pre2)
+
+
+def forward(state: ClassifierState, op, X, *, work: Workspace | None = None) -> np.ndarray:
+    """Per-node positive posterior z = sigmoid(S relu(S X W1 + b1) W2 + b2).
+
+    `work` is a Workspace for (op, X) to reuse; None builds a throwaway one.
+    """
+    return _forward_cache(state, _workspace(state, op, X, work))
 
 
 def pu_loss(z: np.ndarray, positives, negatives) -> float:
@@ -86,14 +115,15 @@ def pu_loss(z: np.ndarray, positives, negatives) -> float:
     return loss
 
 
-def loss_gradients(state: ClassifierState, op, X, positives, negatives):
+def loss_gradients(state: ClassifierState, op, X, positives, negatives, *, work: Workspace | None = None):
     """Exact gradients of pu_loss in every parameter. Returns (grads, loss).
 
     The operator is treated as a constant: no gradient flows to the edge
-    mask from the classification loss.
+    mask from the classification loss. `work` is as in forward.
     """
+    work = _workspace(state, op, X, work)
     pos, neg = _node_ids(positives), _node_ids(negatives)
-    z, pre2, h1, pre1, xs = _forward_cache(state, op, X)
+    z = _forward_cache(state, work)
     loss = pu_loss(z, pos, neg)
     if not np.isfinite(loss):
         raise ClassifierError("non-finite classification loss")
@@ -107,23 +137,26 @@ def loss_gradients(state: ClassifierState, op, X, positives, negatives):
 
     dq = (op.T @ dpre2)[:, None]  # adjoint of the outer aggregation
     grads = {
-        "W2": h1.T @ dq,
+        "W2": work.h1.T @ dq,
         "b2": np.array([dpre2.sum()]),
     }
-    dpre1 = (dq @ state.W2.T) * (pre1 > 0)
-    grads["W1"] = xs.T @ dpre1
+    dpre1 = np.matmul(dq, state.W2.T, out=work.dpre1)
+    dpre1 *= np.greater(work.pre1, 0.0, out=work.relu)
+    grads["W1"] = work.xs.T @ dpre1
     grads["b1"] = dpre1.sum(axis=0)
     return grads, loss
 
 
-def backward_and_step(state: ClassifierState, op, X, positives, negatives, lr: float):
+def backward_and_step(
+    state: ClassifierState, op, X, positives, negatives, lr: float, *, work: Workspace | None = None
+):
     """One exact-gradient Adam step on pu_loss. Returns (state, loss).
 
-    lr=0 leaves the parameters unchanged.
+    lr=0 leaves the parameters unchanged. `work` is as in forward.
     """
     if lr < 0:
         raise ClassifierError("lr must be >= 0")
-    grads, loss = loss_gradients(state, op, X, positives, negatives)
+    grads, loss = loss_gradients(state, op, X, positives, negatives, work=work)
     state.t += 1
     for k, p in state.params().items():
         gk = grads[k]

@@ -50,21 +50,33 @@ class SparseGraph:
 def build_graph(n, edges, features, labels) -> SparseGraph:
     """Validate and canonicalize raw inputs into a SparseGraph.
 
-    Symmetric duplicates collapse to one stored edge. Self-loops and
-    out-of-range endpoints are rejected, naming the offending pair; NaN or
-    infinite features are rejected, naming the first offending row.
+    `edges` is an (m, 2) array or any iterable of pairs. Symmetric
+    duplicates collapse to one stored edge. Self-loops and out-of-range
+    endpoints are rejected, naming the first offending pair in input order
+    (a self-loop before a range error); NaN or infinite features are
+    rejected, naming the first offending row.
     """
     if n <= 0:
         raise GraphError("node count must be positive")
-    canon = set()
-    for i, j in edges:
-        i, j = int(i), int(j)
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    try:
+        pairs = np.asarray(edges, dtype=np.int64)
+    except (TypeError, ValueError) as exc:
+        raise GraphError(f"edges must be (i, j) integer pairs: {exc}") from None
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise GraphError(f"edges must be (i, j) integer pairs, got shape {pairs.shape}")
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= n))
+    if bad.size:
+        i, j = pairs[bad[0]].tolist()
         if i == j:
             raise GraphError(f"edge ({i}, {j}): self-loop")
-        if not (0 <= i < n and 0 <= j < n):
-            raise GraphError(f"edge ({i}, {j}): index out of range for n={n}")
-        canon.add((i, j) if i < j else (j, i))
-    edge_arr = np.array(sorted(canon), dtype=np.int64).reshape(-1, 2)
+        raise GraphError(f"edge ({i}, {j}): index out of range for n={n}")
+    keys = np.unique(lo * n + hi)  # sorted, so the pairs come out lexicographic
+    edge_arr = np.column_stack([keys // n, keys % n])
 
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != n:

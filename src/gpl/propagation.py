@@ -53,17 +53,22 @@ def init_beliefs(split, *, positives=(), negatives=()) -> np.ndarray:
     return e0
 
 
-def propagate(op: sp.csr_matrix, e0: np.ndarray, cfg: PropagationConfig) -> np.ndarray:
+def propagate(op: sp.csr_matrix, e0: np.ndarray, cfg: PropagationConfig, *, states=None) -> np.ndarray:
     """K applications of E <- alpha*E + (1-alpha) * op @ E.
 
     The map is a convex combination of row-stochastic maps, so row sums are
-    preserved exactly and rows stay in the simplex.
+    preserved exactly and rows stay in the simplex. A list passed as
+    `states` receives all K+1 beliefs E_0..E_K, the form lpl_gradient takes.
     """
     if op.shape[0] != e0.shape[0]:
         raise PropagationError("operator and belief dimensions disagree")
     E = np.array(e0, dtype=np.float64, copy=True)
+    if states is not None:
+        states.append(E)
     for _ in range(cfg.k_prop):
         E = cfg.alpha * E + (1.0 - cfg.alpha) * (op @ E)
+        if states is not None:
+            states.append(E)
     return E
 
 
@@ -98,6 +103,8 @@ def lpl_gradient(
     cfg: PropagationConfig,
     positives,
     negatives=(),
+    *,
+    states=None,
 ) -> np.ndarray:
     """d(lpl_loss)/d(theta_e), exact through the K-step unroll.
 
@@ -111,9 +118,14 @@ def lpl_gradient(
     adjoint/state products across steps and r_u = sum_j Gamma_uj P_uj.
     The adjoint recursion itself is G_{k-1} = alpha*G_k + (1-alpha) P^T G_k.
     A log clamped at its floor (belief <= eps) contributes zero slope.
+
+    `states` may hold the K+1 beliefs propagate(..., states=) recorded for
+    this mask and e0; the forward unroll is then skipped.
     """
     pos, neg = _check_anchor_sets(positives, negatives)
     K = cfg.k_prop
+    if states is not None and len(states) != K + 1:
+        raise PropagationError(f"expected {K + 1} belief states, got {len(states)}")
     if g.m == 0 or K == 0:
         return np.zeros(g.m)
 
@@ -125,9 +137,9 @@ def lpl_gradient(
 
     op = propagation_operator(g, mask)
     d = _propagation_degrees(g, w)
-    states = [np.array(e0, dtype=np.float64, copy=True)]
-    for _ in range(K):
-        states.append(cfg.alpha * states[-1] + (1.0 - cfg.alpha) * (op @ states[-1]))
+    if states is None:
+        states = []
+        propagate(op, e0, cfg, states=states)
 
     G = np.zeros_like(states[-1])
     bp = states[-1][pos, 1]
@@ -184,28 +196,30 @@ def optimize_mask(
     positives, negatives = _check_anchor_sets(positives, negatives)
     theta = mask.theta.copy()
 
-    def loss_at(th):
+    def loss_at(th, states):
+        """The loss at th; its K+1 belief states go into the list `states`."""
         op = propagation_operator(g, EdgeMask(th))
-        return lpl_loss(propagate(op, e0, cfg), positives, negatives)
+        return lpl_loss(propagate(op, e0, cfg, states=states), positives, negatives)
 
-    prev = loss_at(theta)
+    # Only the accepted point's states and the current candidate's stay alive.
+    states = []
+    prev = loss_at(theta, states)
     if not np.isfinite(prev):
         raise PropagationError("non-finite loss at initialization")
     for _ in range(steps):
-        grad = lpl_gradient(g, EdgeMask(theta), e0, cfg, positives, negatives)
+        grad = lpl_gradient(g, EdgeMask(theta), e0, cfg, positives, negatives, states=states)
         if not np.any(grad):
             break
         direction = np.sign(grad)
         step_lr = lr
-        trial, cur = theta, prev
+        cur = prev
         for _ in range(40):
-            cand = theta - step_lr * direction
-            cand_loss = loss_at(cand)
+            cand, trial = theta - step_lr * direction, []
+            cand_loss = loss_at(cand, trial)
             if np.isfinite(cand_loss) and cand_loss <= prev:
-                trial, cur = cand, cand_loss
+                theta, cur, states = cand, cand_loss, trial
                 break
             step_lr *= 0.5
-        theta = trial
         done = abs(cur - prev) < 1e-5 * max(1.0, abs(prev))
         prev = cur
         if done:

@@ -92,8 +92,7 @@ def generate_planted(cfg: PlantedConfig) -> SparseGraph:
     mu = cfg.feature_separation
     features = rng.normal(size=(n, cfg.feature_dim))
     features[:, 0] += mu * labels
-    # build_graph walks the pairs in Python, which is fastest on plain ints
-    return build_graph(n, zip(src.tolist(), dst.tolist()), features, labels)
+    return build_graph(n, np.column_stack([src, dst]), features, labels)
 
 
 def binarize_labels(multi_labels) -> np.ndarray:

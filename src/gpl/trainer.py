@@ -11,6 +11,7 @@ import numpy as np
 
 from .cpe import PriorEstimate, estimate_prior
 from .gnn import (
+    Workspace,
     backward_and_step,
     forward,
     init_classifier,
@@ -98,22 +99,25 @@ def _check_split(g: SparseGraph, split: PUSplit) -> None:
         raise TrainError("observed and unlabeled sets overlap")
 
 
-def _adam_steps(cfg: TrainConfig, state, op, X, positives, negatives, steps):
-    """Run `steps` Adam updates of `state` on pu_loss. Returns (state, loss),
-    with the loss taken before the last update, or at `state` if steps is 0.
+def _adam_steps(cfg: TrainConfig, state, work: Workspace, positives, negatives, steps):
+    """Run `steps` Adam updates of `state` on pu_loss over work's operator and
+    features. Returns (state, loss, z): the loss taken before the last
+    update, or at `state` if steps is 0, and the scores after the last one.
 
     The invsqrt rate at the state's t-th update is lr_clf / sqrt(t), so a
     schedule carries on across calls that continue one state.
     """
     positives, negatives = _node_ids(positives), _node_ids(negatives)
-    if steps == 0:
-        return state, pu_loss(forward(state, op, X), positives, negatives)
+    op, X = work.op, work.X
     for _ in range(steps):
         lr = cfg.lr_clf
         if cfg.lr_schedule == "invsqrt":
             lr = cfg.lr_clf / np.sqrt(state.t + 1)
-        state, loss = backward_and_step(state, op, X, positives, negatives, lr)
-    return state, loss
+        state, loss = backward_and_step(state, op, X, positives, negatives, lr, work=work)
+    z = forward(state, op, X, work=work)
+    if steps == 0:
+        loss = pu_loss(z, positives, negatives)
+    return state, loss, z
 
 
 def _warm_start(g: SparseGraph, split: PUSplit, cfg: TrainConfig, op):
@@ -125,8 +129,8 @@ def _warm_start(g: SparseGraph, split: PUSplit, cfg: TrainConfig, op):
     """
     X = g.features
     state = init_classifier(X.shape[1], hidden=cfg.hidden, seed=cfg.seed)
-    state, _ = _adam_steps(cfg, state, op, X, split.P, split.U, cfg.warmup_steps)
-    z = forward(state, op, X)
+    work = Workspace(op, X, cfg.hidden)
+    state, _, z = _adam_steps(cfg, state, work, split.P, split.U, cfg.warmup_steps)
     if float(np.ptp(z)) < 1e-9:
         warnings.warn(
             "classifier scores are near-constant; the prior estimate is "
@@ -177,12 +181,11 @@ def run_gpl(g: SparseGraph, split: PUSplit, cfg: TrainConfig):
         # compound: each epoch the classifier pushes the unselected positives
         # further down, the next selection trusts those scores, and the
         # estimate decays toward zero.
-        op = gcn_operator(g, mask)
+        work = Workspace(gcn_operator(g, mask), X, cfg.hidden)
         clf = init_classifier(X.shape[1], hidden=cfg.hidden, seed=cfg.seed)
-        clf, clf_loss = _adam_steps(
-            cfg, clf, op, X, pos_anchor, neg_anchor, cfg.clf_steps_per_epoch
+        clf, clf_loss, z = _adam_steps(
+            cfg, clf, work, pos_anchor, neg_anchor, cfg.clf_steps_per_epoch
         )
-        z = forward(clf, op, X)
 
         prior = estimate_prior(z[split.P], z[split.U])
         sel = select_top(split.U, z[split.U], prior.pi_hat)
@@ -205,18 +208,16 @@ def run_baseline(g: SparseGraph, split: PUSplit, cfg: TrainConfig):
     back into nothing)."""
     _check_split(g, split)
     clf = init_classifier(g.features.shape[1], hidden=cfg.hidden, seed=cfg.seed)
-    X = g.features
-    op = gcn_operator(g, None)
+    work = Workspace(gcn_operator(g, None), g.features, cfg.hidden)
     homo, hetero = edge_weight_means(g, None)
-    clf, _ = _adam_steps(cfg, clf, op, X, split.P, split.U, cfg.warmup_steps)
+    clf, _, _ = _adam_steps(cfg, clf, work, split.P, split.U, cfg.warmup_steps)
 
     rows = []
     nan = float("nan")
     for epoch in range(1, cfg.outer_epochs + 1):
-        clf, clf_loss = _adam_steps(
-            cfg, clf, op, X, split.P, split.U, cfg.clf_steps_per_epoch
+        clf, clf_loss, zf = _adam_steps(
+            cfg, clf, work, split.P, split.U, cfg.clf_steps_per_epoch
         )
-        zf = forward(clf, op, X)
         prior = estimate_prior(zf[split.P], zf[split.U])
         f1 = f1_score(predict_labels(zf), g.labels, split.U)
         if not np.isfinite(clf_loss) or not np.isfinite(f1):

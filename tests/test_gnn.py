@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from scipy.special import expit
 from gpl.gnn import (
     ClassifierError,
     ClassifierState,
+    Workspace,
     backward_and_step,
     forward,
     init_classifier,
@@ -194,6 +197,61 @@ class TestBackward:
         state, _ = backward_and_step(state, op, g.features, [0], [4], 0.01)
         state, _ = backward_and_step(state, op, g.features, [0], [4], 0.01)
         assert state.t == 2
+
+
+class TestWorkspace:
+    @staticmethod
+    def problem(n, seed=0):
+        g = generate_planted(PlantedConfig(n=n, h=0.6, avg_degree=6, seed=seed))
+        split = make_pu_split(g, 0.5, seed=seed)
+        return g, gcn_operator(g, None), split.P, split.U
+
+    @pytest.mark.parametrize("hidden", [1, 7, 16])
+    def test_shared_workspace_leaves_the_same_parameters(self, hidden):
+        g, op, pos, neg = self.problem(300)
+        fresh = init_classifier(g.features.shape[1], hidden, seed=2)
+        shared = init_classifier(g.features.shape[1], hidden, seed=2)
+        work = Workspace(op, g.features, hidden)
+        for _ in range(25):
+            fresh, loss_a = backward_and_step(fresh, op, g.features, pos, neg, 0.05)
+            shared, loss_b = backward_and_step(shared, op, g.features, pos, neg, 0.05, work=work)
+            assert loss_a == loss_b
+        for k, p in fresh.params().items():
+            np.testing.assert_array_equal(shared.params()[k], p, err_msg=k)
+            np.testing.assert_array_equal(shared.adam_m[k], fresh.adam_m[k])
+            np.testing.assert_array_equal(shared.adam_v[k], fresh.adam_v[k])
+        np.testing.assert_array_equal(forward(shared, op, g.features, work=work),
+                                      forward(fresh, op, g.features))
+        grads_a, _ = loss_gradients(fresh, op, g.features, pos, neg)
+        grads_b, _ = loss_gradients(fresh, op, g.features, pos, neg, work=work)
+        for k in grads_a:
+            np.testing.assert_array_equal(grads_b[k], grads_a[k], err_msg=k)
+
+    def test_workspace_for_another_fit_rejected(self):
+        g, op, pos, neg = self.problem(60)
+        state = init_classifier(g.features.shape[1], 4, seed=0)
+        other_op = gcn_operator(g, None)  # equal values, another object
+        for work in (Workspace(other_op, g.features, 4),
+                     Workspace(op, g.features.copy(), 4),
+                     Workspace(op, g.features, 5)):
+            with pytest.raises(ClassifierError, match="workspace"):
+                backward_and_step(state, op, g.features, pos, neg, 0.01, work=work)
+            with pytest.raises(ClassifierError, match="workspace"):
+                forward(state, op, g.features, work=work)
+
+    def test_step_on_a_shared_workspace_allocates_less_than_one_hidden_layer(self):
+        n, hidden = 4000, 16
+        g, op, pos, neg = self.problem(n)
+        state = init_classifier(g.features.shape[1], hidden, seed=0)
+        work = Workspace(op, g.features, hidden)
+        backward_and_step(state, op, g.features, pos, neg, 0.01, work=work)
+        tracemalloc.start()
+        try:
+            backward_and_step(state, op, g.features, pos, neg, 0.01, work=work)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * hidden * 8
 
 
 class TestPredictLabels:

@@ -59,6 +59,42 @@ class TestBuildGraph:
         g = _graph(4, [(3, 2), (1, 0)])
         assert (g.edges[:, 0] < g.edges[:, 1]).all()
 
+    @given(st.integers(2, 12).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                 .filter(lambda e: e[0] != e[1]), max_size=40))))
+    @settings(max_examples=200, deadline=None)
+    def test_edges_match_set_canonicalisation(self, case):
+        n, pairs = case
+        want = sorted({(min(i, j), max(i, j)) for i, j in pairs})
+        as_list = _graph(n, pairs)
+        assert as_list.edges.dtype == np.int64 and as_list.edges.shape == (len(want), 2)
+        assert as_list.edges.tolist() == [list(e) for e in want]
+        as_array = _graph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+        from_generator = _graph(n, (p for p in pairs))
+        for other in (as_array, from_generator):
+            np.testing.assert_array_equal(other.edges, as_list.edges)
+
+    @given(st.lists(st.sampled_from([(0, 1), (2, 2), (1, 7), (-1, 3), (3, 1), (9, 9)]),
+                    min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_error_names_first_bad_pair(self, pairs):
+        n = 4
+        bad = [(i, j) for i, j in pairs if i == j or not (0 <= i < n and 0 <= j < n)]
+        if not bad:
+            assert _graph(n, pairs).m == len({tuple(sorted(p)) for p in pairs})
+            return
+        i, j = bad[0]
+        # (9, 9) is both a self-loop and out of range; the self-loop is named
+        what = "self-loop" if i == j else f"index out of range for n={n}"
+        with pytest.raises(GraphError, match=rf"^edge \({i}, {j}\): {what}$"):
+            _graph(n, pairs)
+
+    @pytest.mark.parametrize("edges", [[(0, 1, 2)], [(0, 1), (2,)], [(0, None)]])
+    def test_malformed_pairs_rejected(self, edges):
+        with pytest.raises(GraphError, match="pairs"):
+            _graph(4, edges)
+
 
 class TestHeterophilyRatio:
     def test_all_within(self):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpl.graph import init_mask, propagation_operator
+from gpl.graph import EdgeMask, init_mask, propagation_operator
 from gpl.propagation import (
     PropagationConfig,
     PropagationError,
@@ -215,6 +215,69 @@ class TestLplGradient:
             e0 = init_beliefs(split_of(10, [0]), negatives=[9])
             grad = lpl_gradient(g, mask, e0, cfg, [0], [9])
             assert np.isfinite(grad).all()
+
+
+class TestStateReuse:
+    """Belief states recorded by propagate stand in for lpl_gradient's own
+    forward unroll, bit for bit."""
+
+    @staticmethod
+    def problem(seed):
+        g = generate_planted(PlantedConfig(n=150, h=0.6, avg_degree=5, seed=seed))
+        split = make_pu_split(g, 0.5, seed=seed)
+        neg = split.U[::3]
+        return g, split.P, neg, init_beliefs(split, negatives=neg)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_recorded_states_give_the_same_gradient(self, seed):
+        g, pos, neg, e0 = self.problem(seed)
+        cfg = PropagationConfig(alpha=0.4, k_prop=6)
+        mask = init_mask(g)
+        mask.theta[:] = np.random.default_rng(seed).normal(size=g.m)
+        states = []
+        final = propagate(propagation_operator(g, mask), e0, cfg, states=states)
+        assert len(states) == cfg.k_prop + 1
+        np.testing.assert_array_equal(states[0], e0)
+        np.testing.assert_array_equal(states[-1], final)
+        np.testing.assert_array_equal(
+            lpl_gradient(g, mask, e0, cfg, pos, neg, states=states),
+            lpl_gradient(g, mask, e0, cfg, pos, neg))
+
+    @pytest.mark.parametrize("seed, lr", [(0, 0.3), (1, 10.0), (2, 30.0)])
+    def test_optimize_mask_matches_a_loop_without_states(self, seed, lr):
+        # the larger rates force halvings, so rejected candidates occur too
+        g, pos, neg, e0 = self.problem(seed)
+        cfg = PropagationConfig(alpha=0.5, k_prop=5)
+
+        def loss(theta):
+            return lpl_loss(propagate(propagation_operator(g, EdgeMask(theta)), e0, cfg), pos, neg)
+
+        theta = init_mask(g).theta.copy()
+        prev = loss(theta)
+        for _ in range(12):
+            grad = lpl_gradient(g, EdgeMask(theta), e0, cfg, pos, neg)
+            if not np.any(grad):
+                break
+            step_lr, cur = lr, prev
+            for _ in range(40):
+                cand = theta - step_lr * np.sign(grad)
+                if loss(cand) <= prev:
+                    theta, cur = cand, loss(cand)
+                    break
+                step_lr *= 0.5
+            done = abs(cur - prev) < 1e-5 * max(1.0, abs(prev))
+            prev = cur
+            if done:
+                break
+        got = optimize_mask(g, init_mask(g), e0, cfg, pos, neg, steps=12, lr=lr)
+        np.testing.assert_array_equal(got.theta, theta)
+
+    @pytest.mark.parametrize("count", [0, 3, 5])
+    def test_wrong_number_of_states_rejected(self, count):
+        g, pos, neg, e0 = self.problem(0)
+        cfg = PropagationConfig(alpha=0.5, k_prop=3)
+        with pytest.raises(PropagationError, match="expected 4 belief states, got"):
+            lpl_gradient(g, init_mask(g), e0, cfg, pos, neg, states=[e0] * count)
 
 
 class TestOptimizeMask:

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import gpl.trainer
 from gpl.gnn import backward_and_step, init_classifier
 from gpl.graph import build_graph, gcn_operator, init_mask
 from gpl.synth import PlantedConfig, PUSplit, generate_planted, make_pu_split
@@ -87,6 +88,31 @@ class TestNullTraining:
                               seed=cfg.seed)
         assert np.array_equal(clf.W1, ref.W1)
         assert np.array_equal(clf.b2, ref.b2)
+
+
+class TestScoring:
+    """Each classifier fit hands back its final scores, so a run computes
+    them once per fit, also when the fit takes no steps."""
+
+    @pytest.mark.parametrize("steps", [0, 4])
+    def test_one_forward_per_fit(self, monkeypatch, steps):
+        calls = []
+        real = gpl.trainer.forward
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gpl.trainer, "forward", counted)
+        g, split = small_problem(0.7)
+        cfg = TrainConfig(outer_epochs=2, k_inner=2, clf_steps_per_epoch=steps,
+                          warmup_steps=3)
+        _, _, _, trace = run_gpl(g, split, cfg)
+        assert len(calls) == 1 + cfg.outer_epochs  # warm-up, then one refit per epoch
+        assert all(np.isfinite(r.clf_loss) for r in trace.rows)
+        calls.clear()
+        run_baseline(g, split, cfg)
+        assert len(calls) == 1 + cfg.outer_epochs
 
 
 class TestTraceShape:
