@@ -1,7 +1,7 @@
 """Positive-unlabeled node classification on graphs with learnable edge
 masks, belief propagation, and score-based class-prior estimation."""
 
-from .cpe import PriorEstimate, PriorEstimationError, empirical_q, estimate_prior, prior_error
+from .cpe import PriorEstimate, PriorEstimationError, estimate_prior, prior_error
 from .gnn import (
     ClassifierError,
     ClassifierState,
@@ -10,7 +10,6 @@ from .gnn import (
     backward_and_step,
     forward,
     init_classifier,
-    load_checkpoint,
     loss_gradients,
     predict_labels,
     pu_loss,
@@ -62,7 +61,6 @@ from .trainer import (
     TrainError,
     TrainTrace,
     TraceRow,
-    first_epoch_prior,
     run_baseline,
     run_gpl,
     trace_to_csv,

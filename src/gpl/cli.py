@@ -12,7 +12,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .cpe import estimate_prior, prior_error
+from .cpe import PriorEstimationError, estimate_prior, prior_error
 from .gnn import save_checkpoint
 from .graph import gcn_operator, heterophily_ratio, rewire_to_heterophily
 from .metrics import (
@@ -23,20 +23,21 @@ from .metrics import (
 )
 from .propagation import PropagationConfig, propagate
 from .synth import PlantedConfig, generate_planted, load_dataset, make_pu_split, save_dataset
-from .trainer import TrainConfig, run_baseline, run_gpl, trace_to_csv
+from .trainer import TrainConfig, TrainError, run_baseline, run_gpl, trace_to_csv
 
 
 class ConfigError(ValueError):
-    """Raised for unreadable or unknown configuration keys."""
+    """Raised for unreadable config files, unknown keys and rejected values."""
 
 
-_CFG_FIELDS = {f.name: f.type for f in fields(TrainConfig)}
+# every TrainConfig field is an int or a float
+_CFG_TYPES = {f.name: int if f.type == "int" else float for f in fields(TrainConfig)}
 
 
 def parse_config(path) -> dict:
     """Flat `key = value` file mirroring TrainConfig; '#' starts a comment."""
     out = {}
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8", errors="replace") as f:
         for ln, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -44,16 +45,10 @@ def parse_config(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{ln}: expected 'key = value', got {raw.strip()!r}")
             key, val = (t.strip() for t in line.split("=", 1))
-            if key not in _CFG_FIELDS:
+            if key not in _CFG_TYPES:
                 raise ConfigError(f"{path}:{ln}: unknown config key: {key}")
-            typ = _CFG_FIELDS[key]
             try:
-                if "int" in str(typ):
-                    out[key] = int(val)
-                elif "float" in str(typ):
-                    out[key] = float(val)
-                else:
-                    out[key] = val
+                out[key] = _CFG_TYPES[key](val)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{ln}: bad value for {key}: {val!r}") from exc
     return out
@@ -63,7 +58,10 @@ def _load_train_config(args) -> TrainConfig:
     overrides = parse_config(args.config) if args.config else {}
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    return TrainConfig(**overrides)
+    try:
+        return TrainConfig(**overrides)
+    except TrainError as exc:  # the seed is never rejected, so the file is at fault
+        raise ConfigError(f"{args.config}: {exc}") from exc
 
 
 def _summary(trace, split, g, mask, cfg) -> dict:
@@ -135,8 +133,15 @@ def cmd_train(args) -> int:
 
 def cmd_estimate_prior(args) -> int:
     def read_scores(path):
-        with open(path, encoding="utf-8") as f:
-            return [float(t) for t in f.read().split()]
+        scores = []
+        with open(path, encoding="utf-8", errors="replace") as f:
+            for ln, line in enumerate(f, start=1):
+                try:
+                    scores += [float(t) for t in line.split()]
+                except ValueError:
+                    msg = f"{path}:{ln}: unparseable score: {line.strip()!r}"
+                    raise PriorEstimationError(msg) from None
+        return scores
 
     est = estimate_prior(
         read_scores(args.pos), read_scores(args.unlabeled), q_floor=args.q_floor

@@ -29,12 +29,6 @@ def _as_scores(x, name) -> np.ndarray:
     return s
 
 
-def empirical_q(scores, c: float) -> float:
-    """Fraction of scores >= c (empirical upper cumulative)."""
-    s = _as_scores(scores, "input")
-    return float(np.mean(s >= c))
-
-
 def _upper_tail(scores: np.ndarray, cand: np.ndarray) -> np.ndarray:
     # fraction of scores >= each candidate, by counting in sorted order
     below = np.searchsorted(np.sort(scores), cand, side="left")

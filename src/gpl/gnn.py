@@ -192,87 +192,24 @@ def select_top(u_nodes, u_scores, pi_hat: float) -> SelectionResult:
     return SelectionResult(s_set=chosen, complement=rest)
 
 
-def predict_labels(z: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    """Binarize scores: +1 where z >= threshold, else -1."""
-    if not 0.0 < threshold < 1.0:
-        raise ClassifierError("threshold must lie in (0, 1)")
-    return np.where(z >= threshold, 1, -1).astype(np.int64)
+def predict_labels(z: np.ndarray) -> np.ndarray:
+    """Binarize scores: +1 where z >= 0.5, else -1."""
+    return np.where(z >= 0.5, 1, -1).astype(np.int64)
 
 
-CHECKPOINT_MAGIC = "gpl-checkpoint v1"
+CHECKPOINT_MAGIC = "gpl-checkpoint v2"
 
 
 def save_checkpoint(state: ClassifierState, path) -> None:
-    """Versioned text dump: parameters, Adam moments, and step counter.
+    """Versioned text dump of the parameters W1, b1, W2 and b2.
 
-    Values are written with 17 significant digits, which round-trips float64
-    exactly, so save/load preserves the state bit for bit.
+    Each block is a `<name> <rows> <cols>` line followed by its rows, with
+    17 significant digits, which round-trips float64 exactly.
     """
-    blocks = dict(state.params())
-    for k in PARAM_NAMES:
-        blocks["m" + k] = state.adam_m[k]
-        blocks["v" + k] = state.adam_v[k]
     with open(path, "w", encoding="utf-8") as f:
         f.write(CHECKPOINT_MAGIC + "\n")
-        f.write(f"t {state.t}\n")
-        for name, arr in blocks.items():
-            a = np.atleast_2d(np.asarray(arr, dtype=np.float64))
+        for name, arr in state.params().items():
+            a = np.atleast_2d(arr)
             f.write(f"{name} {a.shape[0]} {a.shape[1]}\n")
             for row in a:
                 f.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def load_checkpoint(path) -> ClassifierState:
-    """Read a save_checkpoint file. A truncated or malformed file raises
-    ClassifierError naming the path and the 1-based line."""
-    with open(path, encoding="utf-8") as f:
-        lines = [ln.rstrip("\n") for ln in f]
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
-        raise ClassifierError(f"{path}: not a recognized checkpoint file")
-
-    def fail(k, what):
-        return ClassifierError(f"{path}: line {k + 1}: {what}")
-
-    def fields(k, expected):
-        if k >= len(lines):
-            raise fail(k, f"file ends where {expected} was expected")
-        return lines[k].split()
-
-    head = fields(1, "the step counter")
-    if len(head) != 2 or head[0] != "t" or not head[1].isdigit():
-        raise fail(1, f"expected 't <steps>', got {lines[1]!r}")
-    t = int(head[1])
-    blocks = {}
-    k = 2
-    while k < len(lines) and lines[k].strip():
-        hdr = lines[k].split()
-        if len(hdr) != 3 or not (hdr[1].isdigit() and hdr[2].isdigit()):
-            raise fail(k, f"expected '<block> <rows> <cols>', got {lines[k]!r}")
-        name, r, c = hdr[0], int(hdr[1]), int(hdr[2])
-        rows = []
-        for q in range(k + 1, k + 1 + r):
-            vals = fields(q, f"row {q - k} of block {name}")
-            try:
-                row = np.array(vals, dtype=np.float64)
-            except ValueError:
-                raise fail(q, f"non-numeric value in block {name}") from None
-            if row.size != c:
-                raise fail(q, f"block {name} row has {row.size} values, expected {c}")
-            rows.append(row)
-        blocks[name] = np.array(rows, dtype=np.float64).reshape(r, c)
-        k += 1 + r
-    missing = [b for p in PARAM_NAMES for b in (p, "m" + p, "v" + p) if b not in blocks]
-    if missing:
-        raise fail(k, f"block {missing[0]} is missing")
-    state = ClassifierState(
-        W1=blocks["W1"],
-        b1=blocks["b1"].ravel(),
-        W2=blocks["W2"],
-        b2=blocks["b2"].ravel(),
-        t=t,
-    )
-    for name in PARAM_NAMES:
-        shaped = lambda a, ref: a.ravel() if ref.ndim == 1 else a
-        state.adam_m[name] = shaped(blocks["m" + name], getattr(state, name))
-        state.adam_v[name] = shaped(blocks["v" + name], getattr(state, name))
-    return state

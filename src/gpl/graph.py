@@ -109,9 +109,6 @@ class EdgeMask:
     def weights(self) -> np.ndarray:
         return expit(self.theta)
 
-    def copy(self) -> "EdgeMask":
-        return EdgeMask(self.theta.copy())
-
 
 def _node_ids(nodes) -> np.ndarray:
     """Node ids as an int64 array; arrays pass through without a copy."""

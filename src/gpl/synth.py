@@ -26,12 +26,18 @@ class PlantedConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n < 2:
+            raise GraphError("n must be >= 2")
         if not 0.0 < self.pi_p < 1.0:
             raise GraphError("pi_p must lie strictly in (0, 1)")
         if not 0.0 <= self.h <= 1.0:
             raise GraphError("h must lie in [0, 1]")
-        if self.avg_degree < 1.0:
-            raise GraphError("avg_degree must be >= 1")
+        if not 1.0 <= self.avg_degree < np.inf:
+            raise GraphError("avg_degree must be finite and >= 1")
+        if self.feature_dim < 1:
+            raise GraphError("feature_dim must be >= 1")
+        if not np.isfinite(self.feature_separation):
+            raise GraphError("feature_separation must be finite")
 
 
 @dataclass(frozen=True)
@@ -147,7 +153,8 @@ def _parse_lines(path, parse, what):
     if not os.path.exists(path):
         raise DatasetError(f"missing dataset file: {path}")
     out = []
-    with open(path, encoding="utf-8") as f:
+    # undecodable bytes become U+FFFD, which no parser accepts, so the line is named
+    with open(path, encoding="utf-8", errors="replace") as f:
         for ln, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
@@ -159,11 +166,18 @@ def _parse_lines(path, parse, what):
     return out
 
 
+def _int64(s):
+    v = int(s)
+    if not -(2**63) <= v < 2**63:
+        raise ValueError("outside the int64 range")
+    return v
+
+
 def _parse_edge(s):
     parts = s.split("\t")
     if len(parts) != 2:
         raise ValueError("expected two tab-separated ids")
-    return int(parts[0]), int(parts[1])
+    return _int64(parts[0]), _int64(parts[1])
 
 
 def load_dataset(directory) -> SparseGraph:
@@ -183,17 +197,15 @@ def load_dataset(directory) -> SparseGraph:
         raise DatasetError(
             f"{os.path.join(directory, FEATURE_FILE)}: ragged rows, widths {sorted(widths)}"
         )
-    labels = _parse_lines(
-        os.path.join(directory, LABEL_FILE), lambda s: int(s), "label"
-    )
+    labels = _parse_lines(os.path.join(directory, LABEL_FILE), _int64, "label")
     if len(labels) != len(features):
         raise DatasetError(
             f"{directory}: {len(features)} feature rows but {len(labels)} labels"
         )
     lab = np.asarray(labels, dtype=np.int64)
-    if not set(np.unique(lab)) <= {-1, 1}:
-        lab = binarize_labels(lab)
     try:
+        if not set(np.unique(lab)) <= {-1, 1}:
+            lab = binarize_labels(lab)
         return build_graph(len(labels), edges, np.asarray(features), lab)
-    except GraphError as exc:
+    except (GraphError, DatasetError) as exc:
         raise DatasetError(f"{directory}: {exc}") from exc

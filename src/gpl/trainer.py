@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .cpe import PriorEstimate, estimate_prior
+from .cpe import estimate_prior
 from .gnn import (
     Workspace,
     backward_and_step,
@@ -47,7 +47,6 @@ class TrainConfig:
     clf_steps_per_epoch: int = 300
     warmup_steps: int = 50    # classifier steps (U treated negative) before the first estimate
     hidden: int = 16
-    lr_schedule: str = "const"  # "const" or "invsqrt" (lr_clf / sqrt(step))
 
     def __post_init__(self):
         if self.outer_epochs < 1:
@@ -55,12 +54,11 @@ class TrainConfig:
         for name in ("k_prop", "k_inner", "clf_steps_per_epoch", "warmup_steps"):
             if getattr(self, name) < 0:
                 raise TrainError(f"{name} must be >= 0")
-        if self.lr_mask < 0 or self.lr_clf < 0:
-            raise TrainError("learning rates must be >= 0")
+        for name in ("lr_mask", "lr_clf"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise TrainError(f"{name} must be finite and >= 0")
         if self.hidden < 1:
             raise TrainError("hidden must be >= 1")
-        if self.lr_schedule not in ("const", "invsqrt"):
-            raise TrainError(f"unknown lr_schedule: {self.lr_schedule}")
 
 
 @dataclass(frozen=True)
@@ -103,17 +101,11 @@ def _adam_steps(cfg: TrainConfig, state, work: Workspace, positives, negatives, 
     """Run `steps` Adam updates of `state` on pu_loss over work's operator and
     features. Returns (state, loss, z): the loss taken before the last
     update, or at `state` if steps is 0, and the scores after the last one.
-
-    The invsqrt rate at the state's t-th update is lr_clf / sqrt(t), so a
-    schedule carries on across calls that continue one state.
     """
     positives, negatives = _node_ids(positives), _node_ids(negatives)
     op, X = work.op, work.X
     for _ in range(steps):
-        lr = cfg.lr_clf
-        if cfg.lr_schedule == "invsqrt":
-            lr = cfg.lr_clf / np.sqrt(state.t + 1)
-        state, loss = backward_and_step(state, op, X, positives, negatives, lr, work=work)
+        state, loss = backward_and_step(state, op, X, positives, negatives, cfg.lr_clf, work=work)
     z = forward(state, op, X, work=work)
     if steps == 0:
         loss = pu_loss(z, positives, negatives)
@@ -225,15 +217,3 @@ def run_baseline(g: SparseGraph, split: PUSplit, cfg: TrainConfig):
         rows.append(TraceRow(epoch, nan, prior.pi_hat, float(clf_loss), f1, homo, hetero))
 
     return clf, TrainTrace(tuple(rows))
-
-
-def first_epoch_prior(g: SparseGraph, split: PUSplit, cfg: TrainConfig) -> PriorEstimate:
-    """The prior estimate run_gpl bootstraps from, before any mask learning.
-
-    Scores come from a fresh classifier after cfg.warmup_steps updates on
-    the initial mask's operator (init_mask) that treat all of U as
-    negative. Near-constant scores, as untrained weights give with
-    warmup_steps=0, trigger a warning and an estimate of 1.
-    """
-    _check_split(g, split)
-    return _warm_start(g, split, cfg, gcn_operator(g, init_mask(g)))[1]

@@ -1,15 +1,19 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gpl.metrics
-from gpl.cli import ConfigError, main, parse_config
+from gpl.cli import ConfigError, _load_train_config, main, parse_config
 from gpl.graph import heterophily_ratio
 from gpl.synth import load_dataset
+from gpl.trainer import TrainConfig
 
 SMALL_CFG = """\
 # tiny budget for test runs
@@ -18,6 +22,9 @@ k_inner = 5
 clf_steps_per_epoch = 60
 warmup_steps = 20
 """
+
+CONFIG_KEYS = set(TrainConfig.__dataclass_fields__)
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=30)
 
 
 @pytest.fixture
@@ -59,6 +66,18 @@ class TestSynth:
                    str(tmp_path / "x")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--feature-dim", "0", "feature_dim"),
+        ("--avg-degree", "inf", "avg_degree"),
+        ("--n", "-5", "n must"),
+        ("--mu", "nan", "feature_separation"),
+    ])
+    def test_bad_planted_config_exits_nonzero(self, tmp_path, capsys, flag, value, field):
+        rc = main(["synth", flag, value, "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
 
 
 class TestRewire:
@@ -130,20 +149,35 @@ class TestTrain:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_label_beyond_int64_names_file_and_line(self, dataset, tmp_path, capsys):
+        labels = tmp_path / "data" / "labels.txt"
+        lines = labels.read_text().splitlines()
+        lines[2] = "99999999999999999999999"
+        labels.write_text("\n".join(lines) + "\n")
+        rc = main(["train", "--data", dataset, "--out", str(tmp_path / "r")])
+        assert rc == 1
+        assert "labels.txt:3: unparseable label" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_parses_types_and_comments(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("outer_epochs = 4  # comment\nlr_mask = 0.5\n"
-                     "lr_schedule = invsqrt\n\n# full-line comment\n")
+                     "hidden = 8\n\n# full-line comment\n")
         out = parse_config(p)
-        assert out == {"outer_epochs": 4, "lr_mask": 0.5,
-                       "lr_schedule": "invsqrt"}
+        assert out == {"outer_epochs": 4, "lr_mask": 0.5, "hidden": 8}
+        assert [type(v) for v in out.values()] == [int, float, int]
 
     def test_unknown_key_named_with_line(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("outer_epochs = 4\nlearning_rate = 0.1\n")
         with pytest.raises(ConfigError, match=r"2: unknown config key: learning_rate"):
+            parse_config(p)
+
+    def test_undecodable_bytes_named_with_line(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_bytes(b"outer_epochs = 4  # caf\xe9\nk_prop = 1\xff\n")
+        with pytest.raises(ConfigError, match=r"c\.cfg:2: bad value for k_prop"):
             parse_config(p)
 
     def test_bad_value(self, tmp_path):
@@ -165,6 +199,39 @@ class TestConfigFile:
                    "--out", str(tmp_path / "r")])
         assert rc == 1
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,why", [
+        ("outer_epochs = 0", "outer_epochs must be >= 1"),
+        ("lr_mask = nan", "lr_mask must be finite"),
+        ("lr_clf = inf", "lr_clf must be finite"),
+    ])
+    def test_rejected_value_names_file(self, dataset, tmp_path, capsys, line, why):
+        p = tmp_path / "c.cfg"
+        p.write_text(line + "\n")
+        rc = main(["train", "--data", dataset, "--config", str(p),
+                   "--out", str(tmp_path / "r")])
+        assert rc == 1
+        assert f"error: {p}: {why}" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(pairs=st.lists(st.tuples(st.sampled_from(sorted(CONFIG_KEYS)),
+                                    st.integers().map(str) | st.floats().map(repr) | TEXT),
+                          max_size=6),
+           lines=st.lists(TEXT, max_size=3))
+    def test_fuzzed_lines_parse_or_name_the_file(self, tmp_path, pairs, lines):
+        # known keys with numbers or text as values, plus arbitrary lines: a
+        # file either gives a valid TrainConfig or an error that names it
+        p = tmp_path / "fuzz.cfg"
+        body = [f"{k} = {v}" for k, v in pairs] + lines
+        p.write_text("\n".join(body) + "\n", encoding="utf-8")
+        try:
+            cfg = _load_train_config(SimpleNamespace(config=str(p), seed=None))
+        except ConfigError as exc:
+            assert str(exc).startswith(f"{p}:")
+        else:
+            assert isinstance(cfg, TrainConfig)
 
 
 class TestEstimatePrior:
@@ -200,6 +267,16 @@ class TestEstimatePrior:
         for r in rows[1:]:
             c, qu, qp, ratio, adm = r.split(",")
             assert (int(adm) == 1) == (float(qp) >= 0.1)
+
+    @pytest.mark.parametrize("bad,shown", [(b"abc", "abc"), (b"0.5\xff", "0.5\ufffd")])
+    def test_unparseable_score_names_file_and_line(self, tmp_path, capsys, bad, shown):
+        pos, unl = self.write_scores(tmp_path, np.random.default_rng(0))
+        with open(unl, "ab") as f:
+            f.write(b"\n" + bad + b"\n")
+        rc = main(["estimate-prior", "--pos", pos, "--unlabeled", unl])
+        assert rc == 1
+        n = len(open(unl, "rb").read().splitlines())
+        assert f"{unl}:{n}: unparseable score: {shown!r}" in capsys.readouterr().err
 
     def test_bad_score_file(self, tmp_path, capsys):
         pos = tmp_path / "pos.txt"

@@ -3,28 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpl.cpe import PriorEstimationError, empirical_q, estimate_prior, prior_error
+from gpl.cpe import PriorEstimationError, estimate_prior, prior_error
 
 from conftest import separable_score_mixture
-
-score_sets = st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=60)
-
-
-class TestEmpiricalQ:
-    def test_zero_threshold(self):
-        assert empirical_q([0.3, 0.7, 1.0], 0.0) == 1.0
-
-    def test_half(self):
-        assert empirical_q([0.2, 0.8], 0.5) == 0.5
-
-    def test_above_max(self):
-        assert empirical_q([0.2, 0.8], 0.9) == 0.0
-
-    @settings(max_examples=50, deadline=None)
-    @given(scores=score_sets, c1=st.floats(0, 1), c2=st.floats(0, 1))
-    def test_non_increasing_in_c(self, scores, c1, c2):
-        lo, hi = min(c1, c2), max(c1, c2)
-        assert empirical_q(scores, lo) >= empirical_q(scores, hi)
 
 
 class TestEstimatePrior:

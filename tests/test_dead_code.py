@@ -1,0 +1,48 @@
+"""Every public top-level function and class in src/gpl has a caller outside
+the tests: somewhere in the package, scripts/ or perfbench/ names it other
+than its own definition. The package's __init__ re-exports do not count."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _names(node):
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def unused_public_names(root=ROOT):
+    defined, used = {}, set()
+    for path in sorted((root / "src" / "gpl").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+                defined[stmt.name] = path.name
+                used.update(n for n in _names(stmt) if n != stmt.name)
+            else:
+                used.update(_names(stmt))
+    for folder in ("scripts", "perfbench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            used.update(_names(ast.parse(path.read_text(encoding="utf-8"))))
+    return sorted(f"{defined[k]}:{k}" for k in defined if k not in used)
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    assert unused_public_names() == []
+
+
+def test_scan_reports_a_name_only_its_own_body_and_init_use(tmp_path):
+    pkg = tmp_path / "src" / "gpl"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("from .a import dead, used\n")
+    (pkg / "a.py").write_text("def dead(n):\n    return dead(n - 1)\n\n\ndef used():\n    pass\n\n\n"
+                              "class _Private:\n    pass\n")
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "s.py").write_text("import gpl.a\ngpl.a.used()\n")
+    assert unused_public_names(tmp_path) == ["a.py:dead"]

@@ -241,10 +241,3 @@ class TestMask:
     def test_init_near_default(self):
         g = _graph(2, [(0, 1)])
         np.testing.assert_allclose(init_mask(g).weights(), 0.95, atol=1e-12)
-
-    def test_copy_independent(self):
-        g = _graph(2, [(0, 1)])
-        m1 = init_mask(g)
-        m2 = m1.copy()
-        m2.theta[0] = -3.0
-        assert m1.theta[0] != m2.theta[0]

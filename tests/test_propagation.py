@@ -148,7 +148,7 @@ def fd_gradient(g, mask, e0, cfg, pos, neg, step=1e-5):
     grad = np.zeros(g.m)
     for e in range(g.m):
         for sgn in (+1, -1):
-            m2 = mask.copy()
+            m2 = EdgeMask(mask.theta.copy())
             m2.theta[e] += sgn * step
             b = propagate(propagation_operator(g, m2), e0, cfg)
             grad[e] += sgn * lpl_loss(b, pos, neg)
@@ -184,7 +184,7 @@ class TestLplGradient:
         step = 1e-4
         sens = 0.0
         for e in range(g.m):
-            m_hi, m_lo = mask.copy(), mask.copy()
+            m_hi, m_lo = EdgeMask(mask.theta.copy()), EdgeMask(mask.theta.copy())
             m_hi.theta[e] += step
             m_lo.theta[e] -= step
             b_hi = propagate(propagation_operator(g, m_hi), e0, cfg)

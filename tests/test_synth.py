@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gpl.graph import GraphError, heterophily_ratio
@@ -13,6 +15,27 @@ from gpl.synth import (
     make_pu_split,
     save_dataset,
 )
+
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=20)
+IDS = st.integers(-2, 5) | st.integers(-(2**70), 2**70)
+
+
+@st.composite
+def dataset_files(draw):
+    """Lines of edges.tsv, features.csv and labels.txt for n nodes: ids and
+    labels up to and past the int64 range, any floats, and sometimes one
+    more line of arbitrary text in one of the files."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 2))
+    files = [
+        draw(st.lists(st.tuples(IDS, IDS).map(lambda t: f"{t[0]}\t{t[1]}"), max_size=6)),
+        draw(st.lists(st.lists(st.floats(), min_size=d, max_size=d).map(
+            lambda r: ",".join(map(repr, r))), min_size=n, max_size=n)),
+        draw(st.lists(st.sampled_from(["+1", "-1"]) | IDS.map(str), min_size=n, max_size=n)),
+    ]
+    if draw(st.booleans()):
+        lines = files[draw(st.integers(0, 2))]
+        lines.insert(draw(st.integers(0, len(lines))), draw(TEXT))
+    return files
 
 
 class TestGeneratePlanted:
@@ -73,6 +96,23 @@ class TestGeneratePlanted:
             PlantedConfig(n=10, h=1.5)
         with pytest.raises(GraphError):
             PlantedConfig(n=10, avg_degree=0.5)
+
+    @pytest.mark.parametrize("bad,why", [
+        (dict(n=1), "n must be >= 2"),
+        (dict(n=-5), "n must be >= 2"),
+        (dict(feature_dim=0), "feature_dim must be >= 1"),
+        (dict(avg_degree=float("inf")), "avg_degree must be finite"),
+        (dict(avg_degree=float("nan")), "avg_degree must be finite"),
+        (dict(feature_separation=float("nan")), "feature_separation must be finite"),
+        (dict(feature_separation=float("-inf")), "feature_separation must be finite"),
+    ])
+    def test_config_rejects(self, bad, why):
+        with pytest.raises(GraphError, match=why):
+            PlantedConfig(**bad)
+
+    def test_smallest_config_generates(self):
+        g = generate_planted(PlantedConfig(n=2, pi_p=0.5, h=1.0, avg_degree=1.0, feature_dim=1))
+        assert (g.n, g.m, g.features.shape) == (2, 1, (2, 1))
 
 
 class TestBinarize:
@@ -172,6 +212,45 @@ class TestDatasetIO:
         feats.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetError, match="feature row 3: non-finite"):
             load_dataset(tmp_path)
+
+    def test_edge_id_beyond_int64_names_file_and_line(self, two_blocks, tmp_path):
+        save_dataset(two_blocks, tmp_path)
+        edges = tmp_path / "edges.tsv"
+        lines = edges.read_text().splitlines()
+        lines[1] = "0\t99999999999999999999999"
+        edges.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match=r"edges\.tsv:2: unparseable edge"):
+            load_dataset(tmp_path)
+
+    def test_undecodable_bytes_name_file_and_line(self, two_blocks, tmp_path):
+        save_dataset(two_blocks, tmp_path)
+        labels = tmp_path / "labels.txt"
+        lines = labels.read_bytes().splitlines()
+        lines[6] = b"+\xff1"
+        labels.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(DatasetError, match=r"labels\.txt:7: unparseable label"):
+            load_dataset(tmp_path)
+
+    def test_single_class_labels_name_the_directory(self, tmp_path):
+        (tmp_path / "edges.tsv").write_text("0\t1\n")
+        (tmp_path / "features.csv").write_text("1.0\n2.0\n")
+        (tmp_path / "labels.txt").write_text("3\n3\n")
+        with pytest.raises(DatasetError, match=re.escape(f"{tmp_path}: need at least two")):
+            load_dataset(tmp_path)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(files=dataset_files())
+    def test_fuzzed_lines_load_or_name_the_path(self, tmp_path, files):
+        for name, lines in zip(("edges.tsv", "features.csv", "labels.txt"), files):
+            (tmp_path / name).write_text("".join(ln + "\n" for ln in lines), encoding="utf-8")
+        try:
+            g = load_dataset(tmp_path)
+        except DatasetError as exc:
+            assert str(tmp_path) in str(exc)
+        else:
+            with open(tmp_path / "labels.txt", encoding="utf-8") as f:
+                assert g.n == sum(1 for ln in f if ln.strip())
 
     def test_multiclass_labels_binarized(self, tmp_path):
         (tmp_path / "edges.tsv").write_text("0\t1\n1\t2\n2\t3\n")

@@ -12,7 +12,6 @@ from gpl.trainer import (
     TRACE_COLUMNS,
     TrainConfig,
     TrainError,
-    first_epoch_prior,
     run_baseline,
     run_gpl,
     trace_to_csv,
@@ -46,9 +45,11 @@ class TestConfigValidation:
         with pytest.raises(TrainError):
             TrainConfig(hidden=0)
 
-    def test_unknown_schedule(self):
-        with pytest.raises(TrainError, match="lr_schedule"):
-            TrainConfig(lr_schedule="cosine")
+    @pytest.mark.parametrize("name", ["lr_mask", "lr_clf"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_lr(self, name, value):
+        with pytest.raises(TrainError, match=f"{name} must be finite"):
+            TrainConfig(**{name: value})
 
     def test_zero_steps_allowed(self):
         TrainConfig(k_inner=0, warmup_steps=0, clf_steps_per_epoch=0)
@@ -198,20 +199,20 @@ class TestBaseline:
         _, trace = run_baseline(g, split, cfg)
         assert trace.rows[-1].f1_u <= 0.5
 
-    def test_invsqrt_schedule_spans_warmup_and_epochs(self):
-        # one Adam state runs from warm-up through every epoch, so the
-        # t-th update of the run uses lr_clf / sqrt(t)
+    def test_one_adam_state_spans_warmup_and_epochs(self):
+        # one Adam state runs from warm-up through every epoch at the
+        # constant rate lr_clf, so the run equals one unbroken hand loop
         g, split = small_problem(0.3)
         cfg = TrainConfig(outer_epochs=2, clf_steps_per_epoch=15,
-                          warmup_steps=10, lr_clf=0.05, lr_schedule="invsqrt")
+                          warmup_steps=10, lr_clf=0.05)
         clf, trace = run_baseline(g, split, cfg)
         op = gcn_operator(g, None)
         ref = init_classifier(g.features.shape[1], hidden=cfg.hidden,
                               seed=cfg.seed)
         losses = []
-        for t in range(1, 10 + 2 * 15 + 1):
+        for _ in range(10 + 2 * 15):
             ref, loss = backward_and_step(ref, op, g.features, split.P,
-                                          split.U, cfg.lr_clf / np.sqrt(t))
+                                          split.U, cfg.lr_clf)
             losses.append(loss)
         assert clf.t == ref.t == 40
         for k, p in ref.params().items():
@@ -231,13 +232,10 @@ class TestGplVsBaseline:
         assert last.mean_weight_homo > last.mean_weight_hetero + 0.3
         assert abs(prior.pi_hat - split.pi_true) <= 0.15
 
-    def test_invsqrt_schedule_runs(self):
-        g, split = small_problem(0.3)
-        cfg = TrainConfig(outer_epochs=2, k_inner=10, clf_steps_per_epoch=100,
-                          warmup_steps=20, lr_clf=0.05, lr_schedule="invsqrt")
-        _, _, prior, trace = run_gpl(g, split, cfg)
-        assert np.isfinite(trace.rows[-1].f1_u)
-        assert 0.0 <= prior.pi_hat <= 1.0
+
+def first_epoch_prior(g, split, cfg):
+    """The estimate run_gpl bootstraps from, on the initial mask's operator."""
+    return gpl.trainer._warm_start(g, split, cfg, gcn_operator(g, init_mask(g)))[1]
 
 
 class TestFirstEpochPrior:
