@@ -14,14 +14,8 @@ import numpy as np
 
 from .cpe import PriorEstimationError, estimate_prior, prior_error
 from .gnn import save_checkpoint
-from .graph import gcn_operator, heterophily_ratio, rewire_to_heterophily
-from .metrics import (
-    CheckResult,
-    edge_weight_means,
-    irreducibility_diagnostic,
-    run_validation_suite,
-)
-from .propagation import PropagationConfig, propagate
+from .graph import heterophily_ratio, rewire_to_heterophily
+from .metrics import edge_weight_means, run_validation_suite
 from .synth import PlantedConfig, generate_planted, load_dataset, make_pu_split, save_dataset
 from .trainer import TrainConfig, TrainError, run_baseline, run_gpl, trace_to_csv
 
@@ -89,19 +83,18 @@ def _run_one(g, split, cfg, method: str):
     return _summary(trace, split, g, mask, cfg), trace, clf, mask
 
 
+def _planted(args, h: float, seed: int):
+    """The planted graph that _add_planted_args' flags describe, at h and seed."""
+    return generate_planted(PlantedConfig(
+        n=args.n, pi_p=args.pi_p, h=h, avg_degree=args.avg_degree,
+        feature_dim=args.feature_dim, feature_separation=args.mu, seed=seed,
+    ))
+
+
 def cmd_synth(args) -> int:
     hs = [float(t) for t in str(args.h).split(",")]
     for h in hs:
-        cfg = PlantedConfig(
-            n=args.n,
-            pi_p=args.pi_p,
-            h=h,
-            avg_degree=args.avg_degree,
-            feature_dim=args.feature_dim,
-            feature_separation=args.mu,
-            seed=args.seed,
-        )
-        g = generate_planted(cfg)
+        g = _planted(args, h, args.seed)
         out = args.out if len(hs) == 1 else os.path.join(args.out, f"h{h:g}")
         save_dataset(g, out)
         print(f"wrote {out} (n={g.n}, m={g.m}, h={heterophily_ratio(g):.4f})")
@@ -137,10 +130,14 @@ def cmd_estimate_prior(args) -> int:
         with open(path, encoding="utf-8", errors="replace") as f:
             for ln, line in enumerate(f, start=1):
                 try:
-                    scores += [float(t) for t in line.split()]
+                    vals = [float(t) for t in line.split()]
                 except ValueError:
                     msg = f"{path}:{ln}: unparseable score: {line.strip()!r}"
                     raise PriorEstimationError(msg) from None
+                for v in vals:
+                    if not 0.0 <= v <= 1.0:
+                        raise PriorEstimationError(f"{path}:{ln}: score {v!r} outside [0, 1]")
+                scores += vals
         return scores
 
     est = estimate_prior(
@@ -172,17 +169,7 @@ def cmd_sweep(args) -> int:
     base_cfg = _load_train_config(args)
 
     def job(value, seed, method):
-        h = value if args.var == "h" else args.h
-        pcfg = PlantedConfig(
-            n=args.n,
-            pi_p=args.pi_p,
-            h=h,
-            avg_degree=args.avg_degree,
-            feature_dim=args.feature_dim,
-            feature_separation=args.mu,
-            seed=seed,
-        )
-        g = generate_planted(pcfg)
+        g = _planted(args, value if args.var == "h" else args.h, seed)
         rp = value if args.var == "rp" else args.rp
         cfg = replace(base_cfg, seed=seed)
         if args.var == "k_prop":
@@ -228,44 +215,8 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _irreducibility_checks() -> list:
-    """Paired diagnostic on matched planted graphs, one homophilic and one
-    strongly heterophilic: reveal half the labels as pure beliefs, propagate,
-    and read the upper quantile of the positive belief the hidden positives
-    attain. Near 1 on the homophilic graph, visibly capped on the mixed one.
-    A trained discriminator is no stand-in here: it saturates its logits on
-    both graphs, so the propagation fixed point is what gets diagnosed."""
-    diags = {}
-    for h in (0.0, 0.9):
-        pcfg = PlantedConfig(
-            n=400, pi_p=0.5, h=h, avg_degree=8.0,
-            feature_dim=4, feature_separation=1.0, seed=7,
-        )
-        g = generate_planted(pcfg)
-        # reveal-split seed must differ from the graph seed: the generator
-        # places positives with the same permutation stream, and reusing it
-        # here would make the hidden half exactly the planted negatives
-        perm = np.random.default_rng(11).permutation(g.n)
-        revealed, hidden = perm[: g.n // 2], perm[g.n // 2 :]
-        e0 = np.full((g.n, 2), 0.5)
-        e0[revealed[g.labels[revealed] == 1]] = (1.0, 0.0)
-        e0[revealed[g.labels[revealed] == -1]] = (0.0, 1.0)
-        pcf = PropagationConfig(alpha=0.2, k_prop=20)
-        out_beliefs = propagate(gcn_operator(g, None), e0, pcf)
-        hidden_pos = hidden[g.labels[hidden] == 1]
-        scores = np.clip(out_beliefs[hidden_pos, 0], 0.0, 1.0)
-        diags[h] = irreducibility_diagnostic(scores, quantile=0.01)
-    return [
-        CheckResult("irreducibility_homophilic", 1, diags[0.0], 0.9, diags[0.0] >= 0.9),
-        CheckResult(
-            "irreducibility_gap", 1, diags[0.0] - diags[0.9], 0.15,
-            diags[0.0] - diags[0.9] >= 0.15,
-        ),
-    ]
-
-
 def cmd_validate(_args) -> int:
-    rows = run_validation_suite() + _irreducibility_checks()
+    rows = run_validation_suite()
     print("check,instances,value,threshold,pass")
     ok = True
     for r in rows:

@@ -74,7 +74,7 @@ def propagate(op: sp.csr_matrix, e0: np.ndarray, cfg: PropagationConfig, *, stat
 
 def _check_anchor_sets(positives, negatives):
     pos = _node_ids(positives)
-    neg = _node_ids(negatives) if negatives is not None else np.empty(0, np.int64)
+    neg = _node_ids(negatives)
     if pos.size == 0:
         raise PropagationError("anchor positive set is empty")
     if np.isin(pos, neg).any():

@@ -46,7 +46,6 @@ class PUSplit:
 
     P: np.ndarray       # observed-positive node ids, ascending
     U: np.ndarray       # everything else, ascending
-    r_p: float          # observed fraction of true positives
     pi_true: float      # hidden positives in U / |U|
 
 
@@ -127,7 +126,7 @@ def make_pu_split(g: SparseGraph, r_p: float, seed: int = 0) -> PUSplit:
     chosen = np.sort(rng.choice(pos, size=k, replace=False))
     u = np.setdiff1d(np.arange(g.n), chosen)
     hidden = pos.size - k
-    return PUSplit(P=chosen, U=u, r_p=r_p, pi_true=hidden / u.size)
+    return PUSplit(P=chosen, U=u, pi_true=hidden / u.size)
 
 
 EDGE_FILE = "edges.tsv"
@@ -173,6 +172,13 @@ def _int64(s):
     return v
 
 
+def _feature_row(s):
+    row = [float(t) for t in s.split(",")]
+    if not np.all(np.isfinite(row)):
+        raise ValueError("non-finite value")
+    return row
+
+
 def _parse_edge(s):
     parts = s.split("\t")
     if len(parts) != 2:
@@ -187,11 +193,7 @@ def load_dataset(directory) -> SparseGraph:
     already a +1/-1 coding is binarized by majority class.
     """
     edges = _parse_lines(os.path.join(directory, EDGE_FILE), _parse_edge, "edge")
-    features = _parse_lines(
-        os.path.join(directory, FEATURE_FILE),
-        lambda s: [float(t) for t in s.split(",")],
-        "feature row",
-    )
+    features = _parse_lines(os.path.join(directory, FEATURE_FILE), _feature_row, "feature row")
     widths = {len(r) for r in features}
     if len(widths) > 1:
         raise DatasetError(

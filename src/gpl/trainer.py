@@ -23,6 +23,7 @@ from .graph import SparseGraph, _node_ids, gcn_operator, init_mask, propagation_
 from .metrics import edge_weight_means, f1_score
 from .propagation import (
     PropagationConfig,
+    PropagationError,
     init_beliefs,
     lpl_loss,
     optimize_mask,
@@ -51,7 +52,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.outer_epochs < 1:
             raise TrainError("outer_epochs must be >= 1")
-        for name in ("k_prop", "k_inner", "clf_steps_per_epoch", "warmup_steps"):
+        try:
+            PropagationConfig(alpha=self.alpha, k_prop=self.k_prop)
+        except PropagationError as exc:
+            raise TrainError(str(exc)) from exc
+        for name in ("k_inner", "clf_steps_per_epoch", "warmup_steps"):
             if getattr(self, name) < 0:
                 raise TrainError(f"{name} must be >= 0")
         for name in ("lr_mask", "lr_clf"):
@@ -97,11 +102,14 @@ def _check_split(g: SparseGraph, split: PUSplit) -> None:
         raise TrainError("observed and unlabeled sets overlap")
 
 
-def _adam_steps(cfg: TrainConfig, state, work: Workspace, positives, negatives, steps):
-    """Run `steps` Adam updates of `state` on pu_loss over work's operator and
-    features. Returns (state, loss, z): the loss taken before the last
-    update, or at `state` if steps is 0, and the scores after the last one.
+def _fit(cfg: TrainConfig, work: Workspace, positives, negatives, steps, state=None):
+    """Run `steps` Adam updates on pu_loss over work's operator and features,
+    from `state`, or from the classifier seeded by cfg when state is None.
+    Returns (state, loss, z): the loss taken before the last update, or at
+    the start if steps is 0, and the scores after the last one.
     """
+    if state is None:
+        state = init_classifier(work.X.shape[1], hidden=cfg.hidden, seed=cfg.seed)
     positives, negatives = _node_ids(positives), _node_ids(negatives)
     op, X = work.op, work.X
     for _ in range(steps):
@@ -112,6 +120,19 @@ def _adam_steps(cfg: TrainConfig, state, work: Workspace, positives, negatives, 
     return state, loss, z
 
 
+def _epoch_row(g: SparseGraph, split: PUSplit, weight_means, epoch: int, lpl: float, clf_loss, z):
+    """Prior estimate from the refit scores z and the epoch's trace row, with
+    weight_means from edge_weight_means. Returns (prior, row); a non-finite
+    estimate, loss or F1 is an error."""
+    prior = estimate_prior(z[split.P], z[split.U])
+    f1 = f1_score(predict_labels(z), g.labels, split.U)
+    row = TraceRow(epoch, lpl, prior.pi_hat, float(clf_loss), f1, *weight_means)
+    for col in ("pi_hat", "clf_loss", "f1_u"):
+        if not np.isfinite(getattr(row, col)):
+            raise TrainError(f"non-finite {col} at epoch {epoch}")
+    return prior, row
+
+
 def _warm_start(g: SparseGraph, split: PUSplit, cfg: TrainConfig, op):
     """Scores and prior estimate of a fresh classifier after cfg.warmup_steps
     updates on `op` that treat all of U as negative. Returns (scores, prior).
@@ -119,10 +140,7 @@ def _warm_start(g: SparseGraph, split: PUSplit, cfg: TrainConfig, op):
     Near-constant scores trigger a warning: the ratio curve then degenerates
     to 1 everywhere, so the estimate comes out as 1.
     """
-    X = g.features
-    state = init_classifier(X.shape[1], hidden=cfg.hidden, seed=cfg.seed)
-    work = Workspace(op, X, cfg.hidden)
-    state, _, z = _adam_steps(cfg, state, work, split.P, split.U, cfg.warmup_steps)
+    _, _, z = _fit(cfg, Workspace(op, g.features, cfg.hidden), split.P, split.U, cfg.warmup_steps)
     if float(np.ptp(z)) < 1e-9:
         warnings.warn(
             "classifier scores are near-constant; the prior estimate is "
@@ -143,7 +161,6 @@ def run_gpl(g: SparseGraph, split: PUSplit, cfg: TrainConfig):
     """
     _check_split(g, split)
     pcfg = PropagationConfig(alpha=cfg.alpha, k_prop=cfg.k_prop)
-    X = g.features
     mask = init_mask(g)
 
     # bootstrap: no selection exists yet, so warm a classifier on the
@@ -166,6 +183,8 @@ def run_gpl(g: SparseGraph, split: PUSplit, cfg: TrainConfig):
             propagate(propagation_operator(g, mask), e0, pcfg),
             pos_anchor, neg_anchor,
         )
+        if not np.isfinite(lpl):
+            raise TrainError(f"non-finite lpl_loss at epoch {epoch}")
 
         # Refit from the seed initialization, not warm-started. The bilevel
         # objective evaluates the outer quantities at the inner argmin. Warm
@@ -173,21 +192,10 @@ def run_gpl(g: SparseGraph, split: PUSplit, cfg: TrainConfig):
         # compound: each epoch the classifier pushes the unselected positives
         # further down, the next selection trusts those scores, and the
         # estimate decays toward zero.
-        work = Workspace(gcn_operator(g, mask), X, cfg.hidden)
-        clf = init_classifier(X.shape[1], hidden=cfg.hidden, seed=cfg.seed)
-        clf, clf_loss, z = _adam_steps(
-            cfg, clf, work, pos_anchor, neg_anchor, cfg.clf_steps_per_epoch
-        )
-
-        prior = estimate_prior(z[split.P], z[split.U])
+        work = Workspace(gcn_operator(g, mask), g.features, cfg.hidden)
+        clf, clf_loss, z = _fit(cfg, work, pos_anchor, neg_anchor, cfg.clf_steps_per_epoch)
+        prior, row = _epoch_row(g, split, edge_weight_means(g, mask), epoch, lpl, clf_loss, z)
         sel = select_top(split.U, z[split.U], prior.pi_hat)
-
-        f1 = f1_score(predict_labels(z), g.labels, split.U)
-        homo, hetero = edge_weight_means(g, mask)
-        row = TraceRow(epoch, float(lpl), prior.pi_hat, float(clf_loss), f1, homo, hetero)
-        for col in ("lpl_loss", "pi_hat", "clf_loss", "f1_u"):
-            if not np.isfinite(getattr(row, col)):
-                raise TrainError(f"non-finite {col} at epoch {epoch}")
         rows.append(row)
 
     return clf, mask, prior, TrainTrace(tuple(rows))
@@ -199,21 +207,13 @@ def run_baseline(g: SparseGraph, split: PUSplit, cfg: TrainConfig):
     The per-epoch π̂ column is observational (estimated from the scores, fed
     back into nothing)."""
     _check_split(g, split)
-    clf = init_classifier(g.features.shape[1], hidden=cfg.hidden, seed=cfg.seed)
     work = Workspace(gcn_operator(g, None), g.features, cfg.hidden)
-    homo, hetero = edge_weight_means(g, None)
-    clf, _, _ = _adam_steps(cfg, clf, work, split.P, split.U, cfg.warmup_steps)
+    means = edge_weight_means(g, None)  # unit weights, the same every epoch
+    clf, _, _ = _fit(cfg, work, split.P, split.U, cfg.warmup_steps)
 
     rows = []
-    nan = float("nan")
     for epoch in range(1, cfg.outer_epochs + 1):
-        clf, clf_loss, zf = _adam_steps(
-            cfg, clf, work, split.P, split.U, cfg.clf_steps_per_epoch
-        )
-        prior = estimate_prior(zf[split.P], zf[split.U])
-        f1 = f1_score(predict_labels(zf), g.labels, split.U)
-        if not np.isfinite(clf_loss) or not np.isfinite(f1):
-            raise TrainError(f"non-finite trace value at epoch {epoch}")
-        rows.append(TraceRow(epoch, nan, prior.pi_hat, float(clf_loss), f1, homo, hetero))
+        clf, clf_loss, z = _fit(cfg, work, split.P, split.U, cfg.clf_steps_per_epoch, clf)
+        rows.append(_epoch_row(g, split, means, epoch, float("nan"), clf_loss, z)[1])
 
     return clf, TrainTrace(tuple(rows))

@@ -32,19 +32,6 @@ def two_blocks_split(two_blocks):
     return make_pu_split(two_blocks, 0.5, seed=7)
 
 
-def random_graph(rng, n, p=0.3):
-    """Erdos-Renyi test graph with random features and labels."""
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if rng.random() < p]
-    if not edges:
-        edges = [(0, 1)]
-    X = rng.normal(size=(n, 3))
-    labels = rng.choice([-1, 1], size=n)
-    if (labels == 1).sum() == 0:
-        labels[0] = 1
-    return build_graph(n, edges, X, labels)
-
-
 def separable_score_mixture(rng, n, pi):
     """Positive and unlabeled score samples with disjoint class supports.
 

@@ -6,6 +6,7 @@ Run under pytest (use -s to see the lines as they print) or directly via
 protocols pin every seed, so each line is reproducible bit for bit.
 """
 
+import functools
 import json
 import os
 import tempfile
@@ -37,18 +38,30 @@ def report(num, name, ok, detail):
     return line
 
 
-def _paired_run(h, pi_p, seed):
-    """Baseline and mask-learning runs on the same planted problem; returns
-    (baseline prior error, gpl prior error, baseline f1, gpl f1)."""
+def _problem(h, pi_p, seed):
+    """Planted graph, split and config of the claims that train at n=1000."""
     pcfg = PlantedConfig(n=1000, pi_p=pi_p, h=h, avg_degree=10.0,
                          feature_dim=8, feature_separation=2.0, seed=seed)
     g = generate_planted(pcfg)
-    split = make_pu_split(g, 0.5, seed=seed)
-    cfg = TrainConfig(seed=seed)
+    return g, make_pu_split(g, 0.5, seed=seed), TrainConfig(seed=seed)
+
+
+@functools.cache
+def _gpl_run(h, pi_p, seed):
+    """(prior, trace) of run_gpl on _problem(h, pi_p, seed). Claims 7 and 8
+    both read the runs at h=0.7, pi_p=0.25, seeds 0-4, so these run once."""
+    _, _, prior, trace = run_gpl(*_problem(h, pi_p, seed))
+    return prior, trace
+
+
+def _paired_run(h, pi_p, seed):
+    """Baseline and mask-learning runs on the same planted problem; returns
+    (baseline prior error, gpl prior error, baseline f1, gpl f1)."""
+    g, split, cfg = _problem(h, pi_p, seed)
     clf_b, tr_b = run_baseline(g, split, cfg)
     z = forward(clf_b, gcn_operator(g, None), g.features)
     pi_b = estimate_prior(z[split.P], z[split.U]).pi_hat
-    _, _, prior_g, tr_g = run_gpl(g, split, cfg)
+    prior_g, tr_g = _gpl_run(h, pi_p, seed)
     return (abs(pi_b - split.pi_true), abs(prior_g.pi_hat - split.pi_true),
             tr_b.rows[-1].f1_u, tr_g.rows[-1].f1_u)
 
@@ -138,10 +151,7 @@ def test_07_edge_weight_separation():
     ok_seeds = 0
     gaps = []
     for seed in range(20):
-        g = generate_planted(PlantedConfig(h=0.7, seed=seed))
-        split = make_pu_split(g, 0.5, seed=seed)
-        _, _, _, tr = run_gpl(g, split, TrainConfig(seed=seed))
-        last = tr.rows[-1]
+        last = _gpl_run(0.7, 0.25, seed)[1].rows[-1]
         gaps.append(last.mean_weight_homo - last.mean_weight_hetero)
         ok_seeds += last.mean_weight_hetero < last.mean_weight_homo
     ok = ok_seeds >= 18

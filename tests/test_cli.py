@@ -214,6 +214,17 @@ class TestConfigFile:
         assert f"error: {p}: {why}" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("method", ["gpl", "baseline"])
+    @pytest.mark.parametrize("value", ["1.5", "nan"])
+    def test_bad_alpha_names_file(self, dataset, tmp_path, capsys, method, value):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"alpha = {value}\n")
+        rc = main(["train", "--data", dataset, "--method", method, "--config", str(p),
+                   "--out", str(tmp_path / "r")])
+        assert rc == 1
+        assert f"error: {p}: alpha must lie strictly in (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(pairs=st.lists(st.tuples(st.sampled_from(sorted(CONFIG_KEYS)),
@@ -277,6 +288,17 @@ class TestEstimatePrior:
         assert rc == 1
         n = len(open(unl, "rb").read().splitlines())
         assert f"{unl}:{n}: unparseable score: {shown!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["1.5", "nan", "-0.25"])
+    def test_out_of_range_score_names_file_and_line(self, tmp_path, capsys, bad):
+        pos, unl = self.write_scores(tmp_path, np.random.default_rng(0))
+        lines = open(unl).read().splitlines()
+        lines[1] = bad
+        with open(unl, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        rc = main(["estimate-prior", "--pos", pos, "--unlabeled", unl])
+        assert rc == 1
+        assert f"error: {unl}:2: score {float(bad)!r} outside [0, 1]" in capsys.readouterr().err
 
     def test_bad_score_file(self, tmp_path, capsys):
         pos = tmp_path / "pos.txt"

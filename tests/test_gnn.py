@@ -20,9 +20,8 @@ from gpl.gnn import (
     select_top,
 )
 from gpl.graph import build_graph, gcn_operator
+from gpl.metrics import random_test_graph
 from gpl.synth import PlantedConfig, generate_planted, make_pu_split
-
-from conftest import random_graph
 
 
 def zeroed(d_in, hidden):
@@ -35,7 +34,7 @@ def zeroed(d_in, hidden):
 class TestForward:
     def test_zero_weights_give_half(self):
         rng = np.random.default_rng(0)
-        g = random_graph(rng, 6)
+        g = random_test_graph(rng, 6, 0.3)
         z = forward(zeroed(3, 4), gcn_operator(g, None), g.features)
         np.testing.assert_allclose(z, 0.5)
 
@@ -50,7 +49,7 @@ class TestForward:
     def test_output_bounds(self):
         rng = np.random.default_rng(1)
         for seed in range(5):
-            g = random_graph(rng, 8)
+            g = random_test_graph(rng, 8, 0.3)
             state = init_classifier(3, 5, seed=seed)
             z = forward(state, gcn_operator(g, None), g.features)
             assert ((z > 0) & (z < 1)).all()
@@ -137,7 +136,7 @@ class TestPuLoss:
 class TestBackward:
     def test_null_learning_rate_leaves_params(self):
         rng = np.random.default_rng(2)
-        g = random_graph(rng, 6)
+        g = random_test_graph(rng, 6, 0.3)
         state = init_classifier(3, 3, seed=1)
         before = {k: v.copy() for k, v in state.params().items()}
         op = gcn_operator(g, None)
@@ -149,7 +148,7 @@ class TestBackward:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(8)
         for trial in range(5):
-            g = random_graph(rng, 6)
+            g = random_test_graph(rng, 6, 0.3)
             state = init_classifier(3, 3, seed=trial)
             op = gcn_operator(g, None)
             pos, neg = [0, 1], [4, 5]
@@ -190,7 +189,7 @@ class TestBackward:
 
     def test_adam_steps_advance_counter(self):
         rng = np.random.default_rng(4)
-        g = random_graph(rng, 5)
+        g = random_test_graph(rng, 5, 0.3)
         state = init_classifier(3, 3, seed=0)
         op = gcn_operator(g, None)
         state, _ = backward_and_step(state, op, g.features, [0], [4], 0.01)
@@ -280,7 +279,7 @@ def read_checkpoint(path):
 class TestCheckpoint:
     def test_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(0)
-        g = random_graph(rng, 6)
+        g = random_test_graph(rng, 6, 0.3)
         state = init_classifier(3, 4, seed=3)
         op = gcn_operator(g, None)
         for _ in range(3):

@@ -13,9 +13,8 @@ from gpl.graph import (
     propagation_operator,
     rewire_to_heterophily,
 )
+from gpl.metrics import random_test_graph
 from gpl.synth import PlantedConfig, generate_planted
-
-from conftest import random_graph
 
 
 def _graph(n, edges, labels=None):
@@ -116,7 +115,7 @@ class TestHeterophilyRatio:
     def test_label_flip_invariance(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            g = random_graph(rng, 12)
+            g = random_test_graph(rng, 12, 0.3)
             flipped = build_graph(g.n, g.edges, g.features, -g.labels)
             assert heterophily_ratio(g) == heterophily_ratio(flipped)
 
@@ -130,7 +129,7 @@ class TestRewire:
 
     def test_full_heterophily(self):
         rng = np.random.default_rng(3)
-        g = random_graph(rng, 20)
+        g = random_test_graph(rng, 20, 0.3)
         labels = np.array([1] * 10 + [-1] * 10)
         g = build_graph(g.n, g.edges, g.features, labels)
         g2 = rewire_to_heterophily(g, 1.0, seed=1)
@@ -139,7 +138,7 @@ class TestRewire:
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
-        g = random_graph(rng, 16)
+        g = random_test_graph(rng, 16, 0.3)
         a = rewire_to_heterophily(g, 0.8, seed=42)
         b = rewire_to_heterophily(g, 0.8, seed=42)
         assert np.array_equal(a.edges, b.edges)
@@ -147,7 +146,7 @@ class TestRewire:
     def test_preserves_counts(self):
         rng = np.random.default_rng(9)
         for _ in range(5):
-            g = random_graph(rng, 14)
+            g = random_test_graph(rng, 20, 0.3)
             g2 = rewire_to_heterophily(g, 0.5, seed=2)
             assert g2.n == g.n
             assert abs(g2.m - g.m) <= 1
@@ -195,7 +194,7 @@ class TestOperators:
 
     def test_uniform_mask_equals_unmasked(self):
         rng = np.random.default_rng(1)
-        g = random_graph(rng, 10)
+        g = random_test_graph(rng, 10, 0.3)
         w = propagation_operator(g, init_mask(g, w0=0.3)).toarray()
         u = propagation_operator(g, None).toarray()
         np.testing.assert_allclose(w, u, atol=1e-12)
@@ -219,7 +218,7 @@ class TestOperators:
     @given(seed=st.integers(0, 10_000))
     def test_row_sums_and_symmetry(self, seed):
         rng = np.random.default_rng(seed)
-        g = random_graph(rng, int(rng.integers(2, 15)))
+        g = random_test_graph(rng, int(rng.integers(2, 15)), 0.3)
         mask = init_mask(g)
         mask.theta[:] = rng.normal(size=g.m)
         p = propagation_operator(g, mask).toarray()
@@ -232,7 +231,7 @@ class TestOperators:
 class TestMask:
     def test_weights_in_open_interval(self):
         rng = np.random.default_rng(2)
-        g = random_graph(rng, 8)
+        g = random_test_graph(rng, 8, 0.3)
         mask = init_mask(g)
         mask.theta[:] = rng.normal(scale=10, size=g.m)
         w = mask.weights()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import gpl.metrics as metrics
-from gpl.graph import EdgeMask, GraphError, build_graph, gcn_operator, init_mask
+from gpl.graph import EdgeMask, GraphError, build_graph, init_mask
 from gpl.metrics import (
     check_aggregation_contraction,
     check_influence_sum,
@@ -10,12 +10,11 @@ from gpl.metrics import (
     edge_weight_means,
     f1_score,
     heterophily_influence,
+    irreducibility_checks,
     irreducibility_diagnostic,
+    random_test_graph,
 )
-from gpl.propagation import PropagationConfig, propagate
-from gpl.synth import PlantedConfig, generate_planted
-
-from conftest import random_graph
+from gpl.propagation import PropagationConfig
 
 
 def star5():
@@ -118,7 +117,7 @@ class TestInfluenceSum:
         cfg = PropagationConfig(alpha=0.5, k_prop=3)
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            g = random_graph(rng, 10)
+            g = random_test_graph(rng, 10, 0.3)
             mask = init_mask(g)
             mask.theta[:] = rng.normal(size=g.m)
             a = int(rng.integers(g.n))
@@ -217,22 +216,7 @@ class TestIrreducibility:
             irreducibility_diagnostic([1.2])
 
     def test_heterophily_lowers_confidence_ceiling(self):
-        # propagate half-revealed labels and read the positive belief the
-        # hidden positives can attain: near 1 on the homophilic graph,
-        # visibly capped under heavy cross-class mixing
-        diags = {}
-        for h in (0.0, 0.9):
-            cfg = PlantedConfig(n=400, pi_p=0.5, h=h, avg_degree=8,
-                                feature_dim=4, feature_separation=1.0, seed=0)
-            g = generate_planted(cfg)
-            perm = np.random.default_rng(7).permutation(g.n)
-            revealed, hidden = perm[:200], perm[200:]
-            e0 = np.full((g.n, 2), 0.5)
-            e0[revealed[g.labels[revealed] == 1]] = (1.0, 0.0)
-            e0[revealed[g.labels[revealed] == -1]] = (0.0, 1.0)
-            pcf = PropagationConfig(alpha=0.2, k_prop=20)
-            out = propagate(gcn_operator(g, None), e0, pcf)
-            hp = hidden[g.labels[hidden] == 1]
-            diags[h] = irreducibility_diagnostic(np.clip(out[hp, 0], 0.0, 1.0))
-        assert diags[0.0] >= 0.9
-        assert diags[0.9] <= diags[0.0] - 0.15
+        # hidden positives reach a confident belief on the homophilic graph
+        # and stay visibly capped under heavy cross-class mixing
+        homophilic, gap = irreducibility_checks()
+        assert homophilic.passed and gap.passed, (homophilic, gap)

@@ -16,10 +16,9 @@ from gpl.graph import (
     propagation_operator,
     rewire_to_heterophily,
 )
+from gpl.metrics import random_test_graph
 from gpl.propagation import LOG_EPS, PropagationConfig, lpl_gradient
 from gpl.synth import PlantedConfig, generate_planted
-
-from conftest import random_graph
 
 
 def coo_adjacency(g, mask):
@@ -68,7 +67,7 @@ def graphs():
                                   np.zeros((7, 1)), np.ones(7, dtype=int))
     yield "no_edges", build_graph(4, [], np.zeros((4, 1)), np.ones(4, dtype=int))
     for k in range(6):
-        yield f"random{k}", random_graph(rng, 15, p=0.15 + 0.1 * k)
+        yield f"random{k}", random_test_graph(rng, 15, 0.15 + 0.1 * k)
     yield "planted", generate_planted(PlantedConfig(n=400, h=0.7, seed=3))
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpl.graph import EdgeMask, init_mask, propagation_operator
+from gpl.metrics import random_test_graph
 from gpl.propagation import (
     PropagationConfig,
     PropagationError,
@@ -15,13 +16,11 @@ from gpl.propagation import (
 )
 from gpl.synth import PlantedConfig, PUSplit, generate_planted, make_pu_split
 
-from conftest import random_graph
-
 
 def split_of(n, P):
     P = np.asarray(sorted(P), dtype=np.int64)
     U = np.setdiff1d(np.arange(n), P)
-    return PUSplit(P=P, U=U, r_p=1.0, pi_true=0.0)
+    return PUSplit(P=P, U=U, pi_true=0.0)
 
 
 class TestInitBeliefs:
@@ -67,7 +66,7 @@ class TestPropagate:
 
     def test_retention_limit(self):
         rng = np.random.default_rng(0)
-        g = random_graph(rng, 5)
+        g = random_test_graph(rng, 5, 0.3)
         e0 = init_beliefs(split_of(5, [0, 2]))
         op = propagation_operator(g, None)
         out = propagate(op, e0, PropagationConfig(alpha=0.999, k_prop=5))
@@ -82,7 +81,7 @@ class TestPropagate:
     def test_dense_oracle_equivalence(self):
         rng = np.random.default_rng(4)
         for _ in range(5):
-            g = random_graph(rng, 9)
+            g = random_test_graph(rng, 9, 0.3)
             mask = init_mask(g)
             mask.theta[:] = rng.normal(size=g.m)
             op = propagation_operator(g, mask)
@@ -99,7 +98,7 @@ class TestPropagate:
            k=st.integers(0, 6))
     def test_row_sums_preserved(self, seed, alpha, k):
         rng = np.random.default_rng(seed)
-        g = random_graph(rng, int(rng.integers(2, 12)))
+        g = random_test_graph(rng, int(rng.integers(2, 12)), 0.3)
         mask = init_mask(g)
         mask.theta[:] = rng.normal(size=g.m)
         e0 = init_beliefs(split_of(g.n, [0]))
@@ -160,7 +159,7 @@ class TestLplGradient:
         rng = np.random.default_rng(11)
         cfg = PropagationConfig(alpha=0.5, k_prop=3)
         for _ in range(6):
-            g = random_graph(rng, 8)
+            g = random_test_graph(rng, 8, 0.3)
             mask = init_mask(g)
             mask.theta[:] = rng.normal(size=g.m)
             split = split_of(8, [0, 1])
@@ -177,7 +176,7 @@ class TestLplGradient:
         # parameter is O(1-alpha). The log-loss gradient itself is scale-free
         # (d log(c*x) = dx/x cancels c), so the bound lives on the beliefs.
         rng = np.random.default_rng(2)
-        g = random_graph(rng, 5)
+        g = random_test_graph(rng, 5, 0.3)
         mask = init_mask(g)
         cfg = PropagationConfig(alpha=0.999, k_prop=2)
         e0 = init_beliefs(split_of(5, [0]), negatives=[4])
@@ -197,7 +196,7 @@ class TestLplGradient:
     def test_zero_at_loss_floor(self):
         # every node anchored positive at belief [1,0]: clamped log is flat
         rng = np.random.default_rng(3)
-        g = random_graph(rng, 5)
+        g = random_test_graph(rng, 5, 0.3)
         mask = init_mask(g)
         split = split_of(5, range(5))
         e0 = init_beliefs(split)
@@ -208,7 +207,7 @@ class TestLplGradient:
     def test_gradient_finite(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
-            g = random_graph(rng, 10)
+            g = random_test_graph(rng, 10, 0.3)
             mask = init_mask(g)
             mask.theta[:] = rng.normal(size=g.m)
             cfg = PropagationConfig(alpha=0.6, k_prop=4)
@@ -307,7 +306,7 @@ class TestOptimizeMask:
         pcfg = PropagationConfig(alpha=0.5, k_prop=3)
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            g = random_graph(rng, 10)
+            g = random_test_graph(rng, 10, 0.3)
             split = split_of(10, [0, 1])
             e0 = init_beliefs(split, negatives=[8, 9])
             m0 = init_mask(g)

@@ -210,7 +210,18 @@ class TestDatasetIO:
         lines = feats.read_text().splitlines()
         lines[3] = ",".join(["nan"] * len(lines[3].split(",")))
         feats.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetError, match="feature row 3: non-finite"):
+        with pytest.raises(DatasetError, match=r"features\.csv:4: unparseable feature row: 'nan,"):
+            load_dataset(tmp_path)
+
+    def test_inf_feature_line_counts_blank_lines(self, two_blocks, tmp_path):
+        # a blank line is skipped, so it shifts the row index but not the
+        # line the error names
+        save_dataset(two_blocks, tmp_path)
+        feats = tmp_path / "features.csv"
+        lines = [""] + feats.read_text().splitlines()
+        lines[4] = "inf" + lines[4][lines[4].index(","):]
+        feats.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match=r"features\.csv:5: unparseable feature row: 'inf,"):
             load_dataset(tmp_path)
 
     def test_edge_id_beyond_int64_names_file_and_line(self, two_blocks, tmp_path):

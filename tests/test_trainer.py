@@ -51,6 +51,17 @@ class TestConfigValidation:
         with pytest.raises(TrainError, match=f"{name} must be finite"):
             TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize("bad, why", [
+        (dict(alpha=0.0), "alpha must lie strictly"),
+        (dict(alpha=1.5), "alpha must lie strictly"),
+        (dict(alpha=float("nan")), "alpha must lie strictly"),
+        (dict(k_prop=-1), "k_prop must be >= 0"),
+    ])
+    def test_propagation_settings_checked(self, bad, why):
+        # the valid ranges are PropagationConfig's, raised as TrainError
+        with pytest.raises(TrainError, match=why):
+            TrainConfig(**bad)
+
     def test_zero_steps_allowed(self):
         TrainConfig(k_inner=0, warmup_steps=0, clf_steps_per_epoch=0)
 
@@ -60,14 +71,13 @@ class TestSplitValidation:
         g, split = small_problem(0.3)
         u = split.U.copy()
         u[0] = split.P[0]  # same sizes, one node on both sides
-        bad = PUSplit(P=split.P, U=u, r_p=split.r_p, pi_true=split.pi_true)
+        bad = PUSplit(P=split.P, U=u, pi_true=split.pi_true)
         with pytest.raises(TrainError, match="overlap"):
             run_gpl(g, bad, TrainConfig(**FAST))
 
     def test_incomplete_cover_rejected(self):
         g, split = small_problem(0.3)
-        bad = PUSplit(P=split.P, U=split.U[:-1], r_p=split.r_p,
-                      pi_true=split.pi_true)
+        bad = PUSplit(P=split.P, U=split.U[:-1], pi_true=split.pi_true)
         with pytest.raises(TrainError, match="cover"):
             run_baseline(g, bad, TrainConfig(**FAST))
 
@@ -114,6 +124,22 @@ class TestScoring:
         calls.clear()
         run_baseline(g, split, cfg)
         assert len(calls) == 1 + cfg.outer_epochs
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("run", [run_gpl, run_baseline])
+    def test_nan_loss_names_the_column(self, monkeypatch, run):
+        # both methods score an epoch with the same checks and messages
+        real = gpl.trainer.backward_and_step
+
+        def nan_loss(*args, **kwargs):
+            return real(*args, **kwargs)[0], float("nan")
+
+        monkeypatch.setattr(gpl.trainer, "backward_and_step", nan_loss)
+        g, split = small_problem(0.3)
+        cfg = TrainConfig(outer_epochs=1, k_inner=2, clf_steps_per_epoch=3, warmup_steps=2)
+        with pytest.raises(TrainError, match="non-finite clf_loss at epoch 1"):
+            run(g, split, cfg)
 
 
 class TestTraceShape:
@@ -192,8 +218,7 @@ class TestBaseline:
         X = rng.normal(1.0, 1.0, size=(n, 4))
         g = build_graph(n, edges, X, np.ones(n, dtype=int))
         P = np.arange(0, n, 2)
-        split = PUSplit(P=P, U=np.setdiff1d(np.arange(n), P),
-                        r_p=0.5, pi_true=1.0)
+        split = PUSplit(P=P, U=np.setdiff1d(np.arange(n), P), pi_true=1.0)
         cfg = TrainConfig(outer_epochs=2, k_inner=5,
                           clf_steps_per_epoch=150, warmup_steps=20)
         _, trace = run_baseline(g, split, cfg)
@@ -258,8 +283,7 @@ class TestFirstEpochPrior:
         edges = [(i, (i + 1) % n) for i in range(n)]
         g = build_graph(n, edges, np.zeros((n, 3)),
                         np.array([1] * 10 + [-1] * 10))
-        split = PUSplit(P=np.arange(5), U=np.arange(5, n), r_p=0.5,
-                        pi_true=5 / 15)
+        split = PUSplit(P=np.arange(5), U=np.arange(5, n), pi_true=5 / 15)
         cfg = TrainConfig(warmup_steps=0)
         with pytest.warns(UserWarning, match="near-constant"):
             est = first_epoch_prior(g, split, cfg)
