@@ -74,13 +74,13 @@ def _summary(trace, split, g, mask, cfg) -> dict:
 
 
 def _run_one(g, split, cfg, method: str):
-    """One training run; returns (summary dict, trace, classifier, mask)."""
+    """One training run; returns (summary dict, trace, classifier)."""
     if method == "gpl":
         clf, mask, _, trace = run_gpl(g, split, cfg)
     else:
         clf, trace = run_baseline(g, split, cfg)
         mask = None
-    return _summary(trace, split, g, mask, cfg), trace, clf, mask
+    return _summary(trace, split, g, mask, cfg), trace, clf
 
 
 def _planted(args, h: float, seed: int):
@@ -113,7 +113,7 @@ def cmd_train(args) -> int:
     g = load_dataset(args.data)
     cfg = _load_train_config(args)
     split = make_pu_split(g, args.rp, seed=cfg.seed)
-    summary, trace, clf, _mask = _run_one(g, split, cfg, args.method)
+    summary, trace, clf = _run_one(g, split, cfg, args.method)
     os.makedirs(args.out, exist_ok=True)
     trace_to_csv(trace, os.path.join(args.out, "trace.csv"))
     with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as f:

@@ -114,11 +114,23 @@ def lpl_gradient(
 
         dL/dw = (Gamma_uv - r_u) / d_u,  summed over both directions,
 
-    where Gamma_uv = (1-alpha) * sum_k <G_k[u], E_{k-1}[v]> accumulates the
-    adjoint/state products across steps and r_u = sum_j Gamma_uj P_uj.
-    The adjoint recursion itself is G_{k-1} = alpha*G_k + (1-alpha) P^T G_k.
-    A log clamped at its floor (belief <= eps) contributes zero slope.
+    where r_u = sum_j Gamma_uj P_uj. With the two-column adjoints G_k of
+    the n x 2 beliefs E_k, Gamma_uv = (1-alpha) * sum_k <G_k[u], E_{k-1}[v]>
+    and G_{k-1} = alpha*G_k + (1-alpha) P^T G_k.
 
+    Two-class identity: each belief row sums to 1 (P is row-stochastic, so
+    propagate conserves row sums; metrics.check_row_stochastic_suite guards
+    this), hence E[:, 1] = 1 - E[:, 0] and
+
+        <G_k[u], E_{k-1}[v]> = delta_k[u] * E_{k-1}[v, 0] + G_k[u, 1],
+
+    with delta = G[:, 0] - G[:, 1]. The last term does not depend on v, and
+    every row of P sums to 1, so it cancels in Gamma_uv - r_u. The adjoint
+    therefore runs on the one n-vector delta, with the same recursion. The
+    result equals the two-column formula up to rounding, and requires the
+    rows of e0 to sum to 1 within 1e-12.
+
+    A log clamped at its floor (belief <= eps) contributes zero slope.
     `states` may hold the K+1 beliefs propagate(..., states=) recorded for
     this mask and e0; the forward unroll is then skipped.
     """
@@ -126,45 +138,44 @@ def lpl_gradient(
     K = cfg.k_prop
     if states is not None and len(states) != K + 1:
         raise PropagationError(f"expected {K + 1} belief states, got {len(states)}")
+    sums = e0[:, 0] + e0[:, 1]
+    bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-12)
+    if bad.size:
+        raise PropagationError(f"belief row {bad[0]} sums to {float(sums[bad[0]])}, not 1")
     if g.m == 0 or K == 0:
         return np.zeros(g.m)
 
     w = mask.weights()
     i, j = g.edges[:, 0], g.edges[:, 1]
-    rows = np.concatenate([i, j])
-    cols = np.concatenate([j, i])
-    wdir = np.concatenate([w, w])
-
     op = propagation_operator(g, mask)
     d = _propagation_degrees(g, w)
     if states is None:
         states = []
         propagate(op, e0, cfg, states=states)
 
-    G = np.zeros_like(states[-1])
+    delta = np.zeros(g.n)
     bp = states[-1][pos, 1]
     live = bp > LOG_EPS
-    G[pos[live], 1] = 1.0 / (len(pos) * (bp[live] + LOG_EPS))
+    delta[pos[live]] = -1.0 / (len(pos) * (bp[live] + LOG_EPS))
     if neg.size:
         bn = states[-1][neg, 0]
         live = bn > LOG_EPS
-        G[neg[live], 0] = 1.0 / (len(neg) * (bn[live] + LOG_EPS))
+        delta[neg[live]] = 1.0 / (len(neg) * (bn[live] + LOG_EPS))
 
     opT = op.T  # CSC view, no copy; its products match a CSR transpose bit for bit
-    gamma = np.zeros(2 * g.m)
+    gamma_ij, gamma_ji = np.zeros(g.m), np.zeros(g.m)
     for k in range(K, 0, -1):
-        E = states[k - 1]
-        gamma += (1.0 - cfg.alpha) * (
-            G[:, 0][rows] * E[:, 0][cols] + G[:, 1][rows] * E[:, 1][cols]
-        )
+        e = states[k - 1][:, 0]
+        gamma_ij += delta[i] * e[j]
+        gamma_ji += delta[j] * e[i]
         if k > 1:
-            G = cfg.alpha * G + (1.0 - cfg.alpha) * (opT @ G)
+            delta = cfg.alpha * delta + (1.0 - cfg.alpha) * (opT @ delta)
+    gamma_ij *= 1.0 - cfg.alpha
+    gamma_ji *= 1.0 - cfg.alpha
 
-    pdir = wdir / d[rows]
-    r = np.zeros(g.n)
-    np.add.at(r, rows, gamma * pdir)
-    grad_dir = (gamma - r[rows]) / d[rows]
-    grad_w = grad_dir[: g.m] + grad_dir[g.m :]
+    r = (np.bincount(i, weights=gamma_ij * w, minlength=g.n)
+         + np.bincount(j, weights=gamma_ji * w, minlength=g.n)) / d
+    grad_w = (gamma_ij - r[i]) / d[i] + (gamma_ji - r[j]) / d[j]
     return grad_w * w * (1.0 - w)
 
 

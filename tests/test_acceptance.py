@@ -7,7 +7,6 @@ protocols pin every seed, so each line is reproducible bit for bit.
 """
 
 import functools
-import json
 import os
 import tempfile
 import time

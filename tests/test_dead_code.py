@@ -1,6 +1,7 @@
 """Every public top-level function and class in src/gpl has a caller outside
 the tests: somewhere in the package, scripts/ or perfbench/ names it other
-than its own definition. The package's __init__ re-exports do not count."""
+than its own definition. The package's __init__ re-exports do not count.
+And no module in src/gpl, tests/ or scripts/ imports a name it never reads."""
 
 import ast
 from pathlib import Path
@@ -33,6 +34,27 @@ def unused_public_names(root=ROOT):
     return sorted(f"{defined[k]}:{k}" for k in defined if k not in used)
 
 
+def unused_imports(root=ROOT):
+    """path:name for each name an import statement binds and its module never
+    reads. The package __init__ (re-exports) and __future__ imports are skipped."""
+    paths = [p for p in sorted((root / "src" / "gpl").glob("*.py")) if p.name != "__init__.py"]
+    for folder in ("tests", "scripts"):
+        paths += sorted((root / folder).rglob("*.py"))
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound += [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [a.asname or a.name for a in node.names]
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        rel = path.relative_to(root).as_posix()
+        found += [f"{rel}:{name}" for name in bound if name not in read]
+    return found
+
+
 def test_every_public_name_has_a_caller_outside_tests():
     assert unused_public_names() == []
 
@@ -46,3 +68,21 @@ def test_scan_reports_a_name_only_its_own_body_and_init_use(tmp_path):
     (tmp_path / "scripts").mkdir()
     (tmp_path / "scripts" / "s.py").write_text("import gpl.a\ngpl.a.used()\n")
     assert unused_public_names(tmp_path) == ["a.py:dead"]
+
+
+def test_no_unused_imports():
+    assert unused_imports() == []
+
+
+def test_import_scan_reports_a_name_nothing_reads(tmp_path):
+    pkg = tmp_path / "src" / "gpl"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("from .a import unread\n")
+    (pkg / "a.py").write_text("from __future__ import annotations\n\nimport os.path\n"
+                              "import json as js\nfrom math import pi, tau\n\n"
+                              "print(os.path.sep, pi)\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_b.py").write_text("import io\n")
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "s.py").write_text("import sys\nsys.exit()\n")
+    assert unused_imports(tmp_path) == ["src/gpl/a.py:js", "src/gpl/a.py:tau", "tests/test_b.py:io"]

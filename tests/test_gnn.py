@@ -8,7 +8,6 @@ from scipy.special import expit
 
 from gpl.gnn import (
     ClassifierError,
-    ClassifierState,
     Workspace,
     backward_and_step,
     forward,

@@ -1,8 +1,11 @@
 """Bit-for-bit checks of the fast paths against the plain formulations
-they replace: operators built from COO with scipy products, the einsum
-form of the mask-gradient accumulation, and the quadratic tail counts of
-the prior estimator. Outputs and traces are held to exact equality, so
-these compare with array_equal, never with a tolerance."""
+they replace: operators built from COO with scipy products, a plain form
+of the one-vector mask-gradient arithmetic, and the quadratic tail counts
+of the prior estimator. Outputs and traces are held to exact equality, so
+these compare with array_equal. The one exception is the mask gradient
+against its two-column (einsum) form: the two-class identity reorders the
+arithmetic, so they agree to rounding, and an extended-precision dense
+evaluation shows which of the two is nearer the exact value."""
 
 import numpy as np
 import pytest
@@ -98,18 +101,24 @@ def test_mask_length_checked():
         propagation_operator(g, EdgeMask(np.zeros(g.m - 1)))
 
 
+def coo_states(g, mask, e0, cfg):
+    op = coo_propagation(g, mask)
+    states = [np.array(e0, dtype=np.float64, copy=True)]
+    for _ in range(cfg.k_prop):
+        states.append(cfg.alpha * states[-1] + (1.0 - cfg.alpha) * (op @ states[-1]))
+    return op, states
+
+
 def einsum_lpl_gradient(g, mask, e0, cfg, pos, neg):
-    """The mask gradient with row gathers and einsum, as first written."""
+    """The mask gradient with two-column adjoints, row gathers and einsum,
+    as first written."""
     K = cfg.k_prop
     w = mask.weights()
     i, j = g.edges[:, 0], g.edges[:, 1]
     rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
     wdir = np.concatenate([w, w])
     d = np.asarray(coo_adjacency(g, mask).sum(axis=1)).ravel()
-    op = coo_propagation(g, mask)
-    states = [np.array(e0, dtype=np.float64, copy=True)]
-    for _ in range(K):
-        states.append(cfg.alpha * states[-1] + (1.0 - cfg.alpha) * (op @ states[-1]))
+    op, states = coo_states(g, mask, e0, cfg)
     G = np.zeros_like(states[-1])
     bp = states[-1][pos, 1]
     live = bp > LOG_EPS
@@ -131,16 +140,105 @@ def einsum_lpl_gradient(g, mask, e0, cfg, pos, neg):
     return (grad_dir[: g.m] + grad_dir[g.m:]) * w * (1.0 - w)
 
 
-@pytest.mark.parametrize("name,g", [(n, g) for n, g in graphs() if g.m])
-def test_lpl_gradient_matches_einsum_form(name, g):
+def one_vector_lpl_gradient(g, mask, e0, cfg, pos, neg):
+    """The mask gradient on the adjoint difference delta = G0 - G1, one
+    directed edge per entry of the concatenated rows/cols."""
+    K = cfg.k_prop
+    w = mask.weights()
+    i, j = g.edges[:, 0], g.edges[:, 1]
+    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+    d = np.asarray(coo_adjacency(g, mask).sum(axis=1)).ravel()
+    op, states = coo_states(g, mask, e0, cfg)
+    delta = np.zeros(g.n)
+    bp = states[-1][pos, 1]
+    live = bp > LOG_EPS
+    delta[pos[live]] = -1.0 / (len(pos) * (bp[live] + LOG_EPS))
+    if neg.size:
+        bn = states[-1][neg, 0]
+        live = bn > LOG_EPS
+        delta[neg[live]] = 1.0 / (len(neg) * (bn[live] + LOG_EPS))
+    opT = op.T.tocsr()
+    gamma = np.zeros(2 * g.m)
+    for k in range(K, 0, -1):
+        gamma += delta[rows] * states[k - 1][cols, 0]
+        if k > 1:
+            delta = cfg.alpha * delta + (1.0 - cfg.alpha) * (opT @ delta)
+    gamma *= 1.0 - cfg.alpha
+    # each direction is summed on its own and the two sums added, the
+    # order in which lpl_gradient rounds
+    r_fwd, r_back = np.zeros(g.n), np.zeros(g.n)
+    np.add.at(r_fwd, i, gamma[: g.m] * w)
+    np.add.at(r_back, j, gamma[g.m:] * w)
+    r = r_fwd + r_back
+    grad_dir = (gamma - r[rows] / d[rows]) / d[rows]
+    return (grad_dir[: g.m] + grad_dir[g.m:]) * w * (1.0 - w)
+
+
+def longdouble_lpl_gradient(g, mask, e0, cfg, pos, neg):
+    """The two-column formula on dense np.longdouble matrices, from the
+    float64 edge weights and e0 that lpl_gradient sees."""
+    ld = np.longdouble
+    w = mask.weights().astype(ld)
+    i, j = g.edges[:, 0], g.edges[:, 1]
+    A = np.zeros((g.n, g.n), dtype=ld)
+    A[i, j] = w
+    A[j, i] = w
+    d = A.sum(axis=1)
+    iso = d == 0
+    d[iso] = 1
+    P = A / d[:, None]
+    P[iso, iso] = 1
+    a, b = ld(cfg.alpha), 1 - ld(cfg.alpha)
+    states = [np.asarray(e0, dtype=ld)]
+    for _ in range(cfg.k_prop):
+        states.append(a * states[-1] + b * (P @ states[-1]))
+    G = np.zeros_like(states[-1])
+    for nodes, col in ((pos, 1), (neg, 0)):
+        live = nodes[states[-1][nodes, col] > LOG_EPS]
+        G[live, col] = 1 / (len(nodes) * (states[-1][live, col] + ld(LOG_EPS)))
+    gamma = np.zeros((g.n, g.n), dtype=ld)
+    for k in range(cfg.k_prop, 0, -1):
+        gamma += b * (G @ states[k - 1].T)
+        G = a * G + b * (P.T @ G)
+    r = (gamma * P).sum(axis=1)
+    dA = (gamma - r[:, None]) / d[:, None]
+    return (dA[i, j] + dA[j, i]) * w * (1 - w)
+
+
+def gradient_problem(g):
     rng = np.random.default_rng(7)
     cfg = PropagationConfig(alpha=0.4, k_prop=6)
     e0 = rng.dirichlet([1.0, 1.0], size=g.n)
     nodes = rng.permutation(g.n)
     pos, neg = np.sort(nodes[: max(1, g.n // 3)]), np.sort(nodes[g.n // 3: g.n // 2])
-    mask = random_mask(rng, g)
+    return random_mask(rng, g), e0, cfg, pos, neg
+
+
+EDGED = [(n, g) for n, g in graphs() if g.m]
+
+
+@pytest.mark.parametrize("name,g", EDGED)
+def test_lpl_gradient_matches_one_vector_form(name, g):
+    mask, e0, cfg, pos, neg = gradient_problem(g)
     got = lpl_gradient(g, mask, e0, cfg, pos, neg)
-    np.testing.assert_array_equal(got, einsum_lpl_gradient(g, mask, e0, cfg, pos, neg))
+    np.testing.assert_array_equal(got, one_vector_lpl_gradient(g, mask, e0, cfg, pos, neg))
+
+
+@pytest.mark.parametrize("name,g", EDGED)
+def test_lpl_gradient_matches_einsum_form(name, g):
+    mask, e0, cfg, pos, neg = gradient_problem(g)
+    got = lpl_gradient(g, mask, e0, cfg, pos, neg)
+    old = einsum_lpl_gradient(g, mask, e0, cfg, pos, neg)
+    assert np.abs(got - old).max() <= 1e-13 * np.abs(old).max()
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16, reason="longdouble is no wider than float64")
+@pytest.mark.parametrize("name,g", [(n, g) for n, g in EDGED if g.n < 100])
+def test_lpl_gradient_near_longdouble_value(name, g):
+    mask, e0, cfg, pos, neg = gradient_problem(g)
+    got = lpl_gradient(g, mask, e0, cfg, pos, neg)
+    ref = longdouble_lpl_gradient(g, mask, e0, cfg, pos, neg)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_prior_tails_match_quadratic_counts():

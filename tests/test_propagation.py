@@ -204,6 +204,15 @@ class TestLplGradient:
         grad = lpl_gradient(g, mask, e0, cfg, list(range(5)), [])
         np.testing.assert_array_equal(grad, 0.0)
 
+    def test_unnormalised_beliefs_rejected(self):
+        # the one-vector adjoint needs E[:, 1] = 1 - E[:, 0] at every state
+        g = random_test_graph(np.random.default_rng(4), 6, 0.4)
+        e0 = init_beliefs(split_of(6, [0]), negatives=[5])
+        e0[[2, 4]] = (0.5, 0.6)
+        cfg = PropagationConfig(alpha=0.5, k_prop=3)
+        with pytest.raises(PropagationError, match=r"belief row 2 sums to 1\.1"):
+            lpl_gradient(g, init_mask(g), e0, cfg, [0], [5])
+
     def test_gradient_finite(self):
         rng = np.random.default_rng(7)
         for _ in range(10):

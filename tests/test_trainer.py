@@ -1,4 +1,3 @@
-import io
 import warnings
 
 import numpy as np
