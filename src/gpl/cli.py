@@ -15,7 +15,7 @@ import numpy as np
 from .cpe import PriorEstimationError, estimate_prior, prior_error
 from .gnn import save_checkpoint
 from .graph import heterophily_ratio, rewire_to_heterophily
-from .metrics import edge_weight_means, run_validation_suite
+from .metrics import run_validation_suite
 from .synth import PlantedConfig, generate_planted, load_dataset, make_pu_split, save_dataset
 from .trainer import TrainConfig, TrainError, run_baseline, run_gpl, trace_to_csv
 
@@ -58,16 +58,16 @@ def _load_train_config(args) -> TrainConfig:
         raise ConfigError(f"{args.config}: {exc}") from exc
 
 
-def _summary(trace, split, g, mask, cfg) -> dict:
-    homo, hetero = edge_weight_means(g, mask)
-    last = trace.rows[-1]  # its pi_hat is the final prior estimate of either method
+def _summary(trace, split, cfg) -> dict:
+    # the last row holds the final prior estimate and weight means of either method
+    last = trace.rows[-1]
     return {
         "f1": last.f1_u,
         "pi_hat": last.pi_hat,
         "pi_true": split.pi_true,
         "prior_error": prior_error(last.pi_hat, split.pi_true),
-        "mean_weight_homo": homo,
-        "mean_weight_hetero": hetero,
+        "mean_weight_homo": last.mean_weight_homo,
+        "mean_weight_hetero": last.mean_weight_hetero,
         "epochs": cfg.outer_epochs,
         "seed": cfg.seed,
     }
@@ -76,11 +76,10 @@ def _summary(trace, split, g, mask, cfg) -> dict:
 def _run_one(g, split, cfg, method: str):
     """One training run; returns (summary dict, trace, classifier)."""
     if method == "gpl":
-        clf, mask, _, trace = run_gpl(g, split, cfg)
+        clf, _, _, trace = run_gpl(g, split, cfg)
     else:
         clf, trace = run_baseline(g, split, cfg)
-        mask = None
-    return _summary(trace, split, g, mask, cfg), trace, clf
+    return _summary(trace, split, cfg), trace, clf
 
 
 def _planted(args, h: float, seed: int):
@@ -162,6 +161,8 @@ def cmd_sweep(args) -> int:
     values = [float(t) for t in args.values.split(",")]
     if len(values) < 2:
         raise ConfigError("sweep needs at least two values")
+    if len(set(values)) != len(values):
+        raise ConfigError("sweep values must be distinct")
     seeds = [int(t) for t in args.seeds.split(",")]
     if len(set(seeds)) != len(seeds):
         raise ConfigError("sweep seeds must be distinct")

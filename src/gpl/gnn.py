@@ -37,7 +37,7 @@ class ClassifierState:
         return {k: getattr(self, k) for k in PARAM_NAMES}
 
 
-def init_classifier(d_in: int, hidden: int = 16, seed: int = 0) -> ClassifierState:
+def init_classifier(d_in: int, hidden: int, seed: int) -> ClassifierState:
     """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)], seeded."""
     rng = np.random.default_rng(seed)
     s1 = 1.0 / np.sqrt(d_in)

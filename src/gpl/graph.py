@@ -46,6 +46,13 @@ class SparseGraph:
     def _gcn_layout(self) -> _Layout:
         return _layout(self, np.arange(self.n))
 
+    @cached_property
+    def cross(self) -> np.ndarray:
+        """(m,) bool, read-only: True where an edge joins the two classes."""
+        out = self.labels[self.edges[:, 0]] != self.labels[self.edges[:, 1]]
+        out.flags.writeable = False
+        return out
+
 
 def build_graph(n, edges, features, labels) -> SparseGraph:
     """Validate and canonicalize raw inputs into a SparseGraph.
@@ -208,9 +215,7 @@ def heterophily_ratio(g: SparseGraph) -> float:
     """Fraction of edges whose endpoints carry different labels."""
     if g.m == 0:
         raise GraphError("no edges")
-    li = g.labels[g.edges[:, 0]]
-    lj = g.labels[g.edges[:, 1]]
-    return float(np.mean(li != lj))
+    return float(np.mean(g.cross))
 
 
 def _pair_from_index(idx, ids: np.ndarray):
@@ -223,17 +228,32 @@ def _pair_from_index(idx, ids: np.ndarray):
     return ids[i], ids[j]
 
 
+def _typed_pairs(flat, pos: np.ndarray, neg: np.ndarray, cross: bool):
+    """(a, b), a < b, for flat indices into the pairs of one type over the
+    ascending class ids pos and neg: the len(pos) * len(neg) cross pairs,
+    or else the within pairs, positive ones first. Keeps the order of flat."""
+    if cross:
+        a, b = pos[flat // len(neg)], neg[flat % len(neg)]
+        return np.minimum(a, b), np.maximum(a, b)
+    n_pp = len(pos) * (len(pos) - 1) // 2
+    pp = flat < n_pp
+    a, b = np.empty(len(flat), np.int64), np.empty(len(flat), np.int64)
+    a[pp], b[pp] = _pair_from_index(flat[pp], pos)
+    a[~pp], b[~pp] = _pair_from_index(flat[~pp] - n_pp, neg)
+    return a, b
+
+
 def rewire_to_heterophily(g: SparseGraph, target_h: float, seed: int) -> SparseGraph:
     """Swap edges until the heterophily ratio is within 0.02 of target_h.
 
     All moves are drawn at once: a uniformly random subset of the edges of
-    the over-represented type is removed, and as many distinct, uniformly
-    random absent pairs of the other type are added, so the edge count is
-    preserved exactly. Added pairs are drawn in batches; pairs already in
-    the graph and repeats are dropped, keeping draw order. This has the
-    distribution of moves made one at a time, but not their draws: a seed
-    picks other edges than the earlier one-move-at-a-time loop did.
-    Deterministic per seed.
+    the over-represented type is removed, and as many uniformly random
+    absent pairs of the other type are added, so the edge count is
+    preserved exactly. The added pairs come from one draw without
+    replacement of k + have pairs of that type, where k is the number of
+    moves and have the number of such edges already present: at least k
+    of them are absent, and the first k absent ones in draw order form a
+    uniform k-subset of the absent pairs. Deterministic per seed.
     """
     if not 0.0 <= target_h <= 1.0:
         raise GraphError("target heterophily must lie in [0, 1]")
@@ -255,37 +275,21 @@ def rewire_to_heterophily(g: SparseGraph, target_h: float, seed: int) -> SparseG
             f"at granularity {1.0 / m:.3f}"
         )
 
-    i, j = g.edges[:, 0], g.edges[:, 1]
-    is_cross = g.labels[i] != g.labels[j]
-    moves = target_cross - int(is_cross.sum())  # > 0: within edges become cross
+    n_cross = int(g.cross.sum())
+    moves = target_cross - n_cross  # > 0: within edges become cross
     if moves == 0:
         return g
-    k = abs(moves)
+    k, adding_cross = abs(moves), moves > 0
+    have = n_cross if adding_cross else m - n_cross
 
     rng = np.random.default_rng(seed)
     n = g.n
-    keys = i * n + j
-    removed = rng.choice(np.flatnonzero(is_cross == (moves < 0)), k, replace=False)
-    n_pp = len(pos) * (len(pos) - 1) // 2
-
-    def draw(size):
-        """Keys i*n+j (i < j) of `size` uniform pairs of the type being added."""
-        if moves > 0:
-            a = pos[rng.integers(len(pos), size=size)]
-            b = neg[rng.integers(len(neg), size=size)]
-            return np.minimum(a, b) * n + np.maximum(a, b)
-        idx = rng.integers(max_within, size=size)
-        a, b = np.empty(size, np.int64), np.empty(size, np.int64)
-        pp = idx < n_pp
-        a[pp], b[pp] = _pair_from_index(idx[pp], pos)
-        a[~pp], b[~pp] = _pair_from_index(idx[~pp] - n_pp, neg)
-        return a * n + b
-
-    added, first = np.empty(0, np.int64), np.empty(0, np.int64)
-    while first.size < k:
-        batch = draw(2 * k)
-        added = np.concatenate([added, batch[~np.isin(batch, keys)]])
-        first = np.sort(np.unique(added, return_index=True)[1])
-    new_keys = np.sort(np.concatenate([np.delete(keys, removed), added[first[:k]]]))
+    keys = g.edges[:, 0] * n + g.edges[:, 1]
+    removed = rng.choice(np.flatnonzero(g.cross != adding_cross), k, replace=False)
+    flat = rng.choice(max_cross if adding_cross else max_within, k + have, replace=False)
+    a, b = _typed_pairs(flat, pos, neg, adding_cross)
+    drawn = a * n + b
+    added = drawn[~np.isin(drawn, keys)][:k]
+    new_keys = np.sort(np.concatenate([np.delete(keys, removed), added]))
     edges = np.column_stack([new_keys // n, new_keys % n])
     return SparseGraph(n=n, edges=edges, features=g.features, labels=g.labels)

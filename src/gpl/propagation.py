@@ -21,14 +21,23 @@ class PropagationError(ValueError):
 class PropagationConfig:
     """alpha: retention coefficient in (0, 1); k_prop: iteration count K >= 0."""
 
-    alpha: float = 0.5
-    k_prop: int = 10
+    alpha: float
+    k_prop: int
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise PropagationError("alpha must lie strictly in (0, 1)")
         if self.k_prop < 0:
             raise PropagationError("k_prop must be >= 0")
+
+
+def _anchor_beliefs(n: int, positives, negatives) -> np.ndarray:
+    """n x 2 beliefs: [1, 0] at positives, then [0, 1] at negatives (ids or
+    a boolean mask), the uniform row [0.5, 0.5] everywhere else."""
+    e0 = np.full((n, 2), 0.5)
+    e0[positives] = (1.0, 0.0)
+    e0[negatives] = (0.0, 1.0)
+    return e0
 
 
 def init_beliefs(split, *, positives=(), negatives=()) -> np.ndarray:
@@ -47,10 +56,7 @@ def init_beliefs(split, *, positives=(), negatives=()) -> np.ndarray:
     both = np.intersect1d(pos, neg)
     if both.size:
         raise PropagationError(f"node {both[0]} identified as both positive and negative")
-    e0 = np.full((n, 2), 0.5, dtype=np.float64)
-    e0[np.concatenate([split.P, pos])] = (1.0, 0.0)
-    e0[neg] = (0.0, 1.0)
-    return e0
+    return _anchor_beliefs(n, np.concatenate([split.P, pos]), neg)
 
 
 def propagate(op: sp.csr_matrix, e0: np.ndarray, cfg: PropagationConfig, *, states=None) -> np.ndarray:
@@ -186,8 +192,9 @@ def optimize_mask(
     cfg: PropagationConfig,
     positives,
     negatives=(),
-    steps: int = 50,
-    lr: float = 0.1,
+    *,
+    steps: int,
+    lr: float,
 ) -> EdgeMask:
     """Descent on the mask parameters with a backtracking line search.
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphError, SparseGraph, _pair_from_index, build_graph
+from .graph import GraphError, SparseGraph, _typed_pairs, build_graph
 
 
 class DatasetError(ValueError):
@@ -86,13 +86,10 @@ def generate_planted(cfg: PlantedConfig) -> SparseGraph:
     labels[pos_ids] = 1
 
     cross_flat = rng.choice(max_cross, size=want_cross, replace=False)
-    n_pp = n_pos * (n_pos - 1) // 2
     within_flat = rng.choice(max_within, size=want_within, replace=False)
-    in_pos = within_flat < n_pp
-    pa, pb = _pair_from_index(within_flat[in_pos], pos_ids)
-    na, nb = _pair_from_index(within_flat[~in_pos] - n_pp, neg_ids)
-    src = np.concatenate([pos_ids[cross_flat // n_neg], pa, na])
-    dst = np.concatenate([neg_ids[cross_flat % n_neg], pb, nb])
+    ca, cb = _typed_pairs(cross_flat, pos_ids, neg_ids, True)
+    wa, wb = _typed_pairs(within_flat, pos_ids, neg_ids, False)
+    src, dst = np.concatenate([ca, wa]), np.concatenate([cb, wb])
 
     mu = cfg.feature_separation
     features = rng.normal(size=(n, cfg.feature_dim))

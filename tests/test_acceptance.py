@@ -67,8 +67,8 @@ def _paired_run(h, pi_p, seed):
 
 def test_01_gradient_oracles():
     t0 = time.monotonic()
-    lpl = check_lpl_gradient_suite(trials=20, seed=1)
-    clf = check_clf_gradient_suite(trials=20, seed=2)
+    lpl = check_lpl_gradient_suite()
+    clf = check_clf_gradient_suite()
     dt = time.monotonic() - t0
     ok = lpl.passed and clf.passed and dt < 30.0
     detail = (f"finite-difference rel err mask={lpl.worst:.3g} "
@@ -79,7 +79,7 @@ def test_01_gradient_oracles():
 
 
 def test_02_belief_conservation():
-    r = check_row_stochastic_suite(trials=100, seed=0)
+    r = check_row_stochastic_suite()
     ok = r.passed
     detail = f"worst |row sum - 1| = {r.worst:.3g} over 100 instances (bound 1e-10)"
     report(2, "belief conservation", ok, detail)
@@ -88,7 +88,7 @@ def test_02_belief_conservation():
 
 def test_03_influence_sum_identity():
     t0 = time.monotonic()
-    r = check_influence_suite(trials=50, seed=3)
+    r = check_influence_suite()
     dt = time.monotonic() - t0
     ok = r.passed and dt < 60.0
     detail = (f"worst residual = {r.worst:.3g} over 50 graphs "
@@ -98,7 +98,7 @@ def test_03_influence_sum_identity():
 
 
 def test_04_aggregation_contraction():
-    r = check_contraction_suite(trials=100, seed=0)
+    r = check_contraction_suite()
     ok = r.passed
     detail = (f"worst (after - before) = {r.worst:.3g} over 100 instances "
               f"(slack 1e-9, zero violations allowed)")

@@ -347,6 +347,15 @@ class TestSweep:
         assert rc == 1
         assert "distinct" in capsys.readouterr().err
 
+    def test_duplicate_values_rejected(self, tmp_path, cfg_file, capsys):
+        # a repeated value would be aggregated twice from one set of runs
+        out = tmp_path / "x"
+        rc = main(["sweep", "--var", "h", "--values", "0.3,0.3,0.7",
+                   "--seeds", "0", "--config", cfg_file, "--out", str(out)])
+        assert rc == 1
+        assert "values must be distinct" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestValidate:
     def test_suite_passes(self, capsys):

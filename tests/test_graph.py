@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from gpl.graph import (
     GraphError,
@@ -170,6 +171,26 @@ class TestRewire:
         up = target > h0
         assert (cross(removed) != up).all()  # only the over-represented type goes
         assert (cross(added) == up).all()    # only absent pairs of the other type come
+
+    @pytest.mark.parametrize("target, cross", [(0.5, True), (0.0, False)])
+    def test_added_pairs_are_uniform(self, target, cross):
+        # 5 positives, 5 negatives, 8 within edges and 2 cross: h=0.5 adds 3
+        # of the 23 absent cross pairs, h=0 adds 2 of the 12 absent within ones
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8), (8, 9), (0, 5), (1, 6)]
+        g = _graph(10, edges, [1] * 5 + [-1] * 5)
+        old = g.edges[:, 0] * 10 + g.edges[:, 1]
+        i, j = np.triu_indices(10, 1)
+        typed = ((i < 5) != (j < 5)) == cross
+        absent = np.setdiff1d(i[typed] * 10 + j[typed], old)
+        counts = np.zeros(absent.size)
+        for seed in range(4000):
+            r = rewire_to_heterophily(g, target, seed)
+            added = np.setdiff1d(r.edges[:, 0] * 10 + r.edges[:, 1], old)
+            assert added.size == abs(round(10 * target) - 2) and np.isin(added, absent).all()
+            counts[np.searchsorted(absent, added)] += 1
+        expected = counts.sum() / absent.size
+        stat = float(np.sum((counts - expected) ** 2 / expected))
+        assert stat < chi2.ppf(0.999, absent.size - 1), stat  # 48.3 at 22 dof, 31.3 at 11
 
     def test_unreachable_target_errors(self):
         # 3 positives, 1 negative: at most 3 cross pairs exist, 5 edges wanted

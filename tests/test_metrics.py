@@ -215,6 +215,11 @@ class TestIrreducibility:
         with pytest.raises(ValueError):
             irreducibility_diagnostic([1.2])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            irreducibility_diagnostic([0.2, bad, 0.9])
+
     def test_heterophily_lowers_confidence_ceiling(self):
         # hidden positives reach a confident belief on the homophilic graph
         # and stay visibly capped under heavy cross-class mixing
