@@ -157,8 +157,21 @@ def cmd_estimate_prior(args) -> int:
     return 0
 
 
+def _sweep_values(var: str, text: str) -> list:
+    """The values of --values as the runs use them: floats, or for k_prop
+    non-negative integers. Every value is checked before any job runs."""
+    tokens = text.split(",")
+    values = [float(t) for t in tokens]
+    if var == "k_prop":
+        for t, v in zip(tokens, values):
+            if not (v >= 0 and v.is_integer()):  # NaN fails the comparison, inf is_integer
+                raise ConfigError(f"--values: k_prop must be a non-negative integer, got {t.strip()!r}")
+        values = [int(v) for v in values]
+    return values
+
+
 def cmd_sweep(args) -> int:
-    values = [float(t) for t in args.values.split(",")]
+    values = _sweep_values(args.var, args.values)
     if len(values) < 2:
         raise ConfigError("sweep needs at least two values")
     if len(set(values)) != len(values):
@@ -174,7 +187,7 @@ def cmd_sweep(args) -> int:
         rp = value if args.var == "rp" else args.rp
         cfg = replace(base_cfg, seed=seed)
         if args.var == "k_prop":
-            cfg = replace(cfg, k_prop=int(round(value)))
+            cfg = replace(cfg, k_prop=value)
         split = make_pu_split(g, rp, seed=seed)
         return _run_one(g, split, cfg, method)[0]
 

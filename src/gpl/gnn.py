@@ -56,17 +56,29 @@ def init_classifier(d_in: int, hidden: int, seed: int) -> ClassifierState:
 
 class Workspace:
     """Buffers for forward and loss_gradients on one operator and feature
-    matrix: the first aggregation xs = op @ X, constant while the operator
-    is, and n x hidden scratch arrays. Build one per fit and pass it as
-    `work=`. Every call writes the scratch arrays before it reads them, so
-    sharing a workspace between calls leaves every result bit for bit the
-    same.
+    matrix, built once per fit and passed as `work=`.
+
+    - xs1 = [op @ X | 1], the first aggregation with a ones column, constant
+      while the operator is: one product with [W1; b1] gives the first
+      layer's pre-activations, and one product of its transpose gives the
+      W1 and b1 gradients together.
+    - opT = op.T, a view that shares op's arrays, for the adjoint of the
+      outer aggregation.
+    - n x hidden scratch arrays, which every call writes before it reads.
+
+    Sharing a workspace between calls leaves every result bit for bit the
+    same. Against the textbook step (xs @ W1 + b1, and the b1 gradient as a
+    column sum) the scores, the loss and the W2 and b2 gradients are bit for
+    bit the same too. The W1 and b1 gradients come from one product over
+    [xs | 1], whose n-long sums BLAS orders its own way, so they can differ
+    in the last bits; how far depends on the BLAS build.
     """
 
     def __init__(self, op, X, hidden: int):
         self.op, self.X = op, X
-        self.xs = op @ X
+        self.opT = op.T
         n = op.shape[0]
+        self.xs1 = np.hstack([op @ X, np.ones((n, 1))])
         self.pre1 = np.empty((n, hidden))
         self.h1 = np.empty((n, hidden))
         self.dpre1 = np.empty((n, hidden))
@@ -74,16 +86,18 @@ class Workspace:
 
 
 def _workspace(state: ClassifierState, op, X, work):
+    d_in, hidden = state.W1.shape
+    if X.shape[1] != d_in:
+        raise ClassifierError(f"W1 has {d_in} rows but X has {X.shape[1]} feature columns")
     if work is None:
-        return Workspace(op, X, state.W1.shape[1])
-    if work.op is not op or work.X is not X or work.pre1.shape[1] != state.W1.shape[1]:
+        return Workspace(op, X, hidden)
+    if work.op is not op or work.X is not X or work.pre1.shape[1] != hidden:
         raise ClassifierError("workspace was built for another operator, feature matrix or hidden size")
     return work
 
 
 def _forward_cache(state: ClassifierState, work: Workspace):
-    np.matmul(work.xs, state.W1, out=work.pre1)
-    work.pre1 += state.b1
+    np.matmul(work.xs1, np.vstack([state.W1, state.b1]), out=work.pre1)
     np.maximum(work.pre1, 0.0, out=work.h1)
     pre2 = (work.op @ (work.h1 @ state.W2)).ravel() + state.b2[0]
     return expit(pre2)
@@ -97,6 +111,17 @@ def forward(state: ClassifierState, op, X, *, work: Workspace | None = None) -> 
     return _forward_cache(state, _workspace(state, op, X, work))
 
 
+def _pu_loss(z_pos: np.ndarray, z_neg: np.ndarray) -> float:
+    if z_pos.size == 0 and z_neg.size == 0:
+        raise ClassifierError("both groups empty")
+    loss = 0.0
+    if z_pos.size:
+        loss -= float(np.mean(np.log(z_pos + LOG_EPS)))
+    if z_neg.size:
+        loss -= float(np.mean(np.log(1.0 - z_neg + LOG_EPS)))
+    return loss
+
+
 def pu_loss(z: np.ndarray, positives, negatives) -> float:
     """Group-averaged clamped cross-entropy.
 
@@ -104,15 +129,7 @@ def pu_loss(z: np.ndarray, positives, negatives) -> float:
     -log(1 - z + eps) over the provisional-negative group; an empty group's
     term is dropped, both empty is an error.
     """
-    pos, neg = _node_ids(positives), _node_ids(negatives)
-    if pos.size == 0 and neg.size == 0:
-        raise ClassifierError("both groups empty")
-    loss = 0.0
-    if pos.size:
-        loss -= float(np.mean(np.log(z[pos] + LOG_EPS)))
-    if neg.size:
-        loss -= float(np.mean(np.log(1.0 - z[neg] + LOG_EPS)))
-    return loss
+    return _pu_loss(z[_node_ids(positives)], z[_node_ids(negatives)])
 
 
 def loss_gradients(state: ClassifierState, op, X, positives, negatives, *, work: Workspace | None = None):
@@ -124,26 +141,23 @@ def loss_gradients(state: ClassifierState, op, X, positives, negatives, *, work:
     work = _workspace(state, op, X, work)
     pos, neg = _node_ids(positives), _node_ids(negatives)
     z = _forward_cache(state, work)
-    loss = pu_loss(z, pos, neg)
+    z_pos, z_neg = z[pos], z[neg]
+    loss = _pu_loss(z_pos, z_neg)
     if not np.isfinite(loss):
         raise ClassifierError("non-finite classification loss")
 
     dz = np.zeros_like(z)
     if pos.size:
-        dz[pos] -= 1.0 / (pos.size * (z[pos] + LOG_EPS))
+        dz[pos] -= 1.0 / (pos.size * (z_pos + LOG_EPS))
     if neg.size:
-        dz[neg] += 1.0 / (neg.size * (1.0 - z[neg] + LOG_EPS))
+        dz[neg] += 1.0 / (neg.size * (1.0 - z_neg + LOG_EPS))
     dpre2 = dz * z * (1.0 - z)
 
-    dq = (op.T @ dpre2)[:, None]  # adjoint of the outer aggregation
-    grads = {
-        "W2": work.h1.T @ dq,
-        "b2": np.array([dpre2.sum()]),
-    }
-    dpre1 = np.matmul(dq, state.W2.T, out=work.dpre1)
+    dq = (work.opT @ dpre2)[:, None]  # adjoint of the outer aggregation
+    dpre1 = np.multiply(dq, state.W2.T, out=work.dpre1)
     dpre1 *= np.greater(work.pre1, 0.0, out=work.relu)
-    grads["W1"] = work.xs.T @ dpre1
-    grads["b1"] = dpre1.sum(axis=0)
+    g1 = work.xs1.T @ dpre1  # rows: the W1 gradient, then the b1 gradient
+    grads = {"W1": g1[:-1], "b1": g1[-1], "W2": work.h1.T @ dq, "b2": np.array([dpre2.sum()])}
     return grads, loss
 
 

@@ -34,15 +34,15 @@ def f1_score(pred, truth, eval_set) -> float:
 FD_STEP = 1e-6
 
 
-def heterophily_influence(g, mask, e0, cfg, a: int, b: int) -> float:
-    """Sensitivity of node a's propagated negative belief to node b's initial one.
+def heterophily_influence(op, e0, cfg, a: int, b: int) -> float:
+    """Sensitivity of node a's propagated negative belief to node b's initial
+    one, under the propagation operator op.
 
     Central finite differences on row b of the initial beliefs, moving the
     pair of entries in opposite directions so the row stays on the simplex.
     """
     if a == b:
         raise ValueError("source and target must differ")
-    op = propagation_operator(g, mask)
     hi, lo = np.array(e0, copy=True), np.array(e0, copy=True)
     hi[b, 1] += FD_STEP
     hi[b, 0] -= FD_STEP
@@ -65,18 +65,20 @@ def check_influence_sum(g, mask, e0, cfg, a: int):
     for b in range(g.n):
         if b == a:
             continue
-        total += heterophily_influence(g, mask, e0, cfg, a, b)
+        total += heterophily_influence(op, e0, cfg, a, b)
     out = propagate(op, np.array(e0, copy=True), cfg)
     delta = abs(float(out[a, 1] - e0[a, 1]))
     return total, delta, abs(total - delta)
 
 
-def dpn_distance(embeddings, g: SparseGraph, mask: EdgeMask | None = None) -> float:
+def dpn_distance(embeddings, g: SparseGraph, op) -> float:
     """Cross-class embedding distance, weighted by the diffusion operator.
 
     0.5 * sum over adjacent (i in P, j in N) of P_ij * ||x_i - x_j||^2,
-    with P the row-stochastic operator of the masked graph.
+    with P = op, the row-stochastic operator of the (masked) graph g.
     """
+    if op.shape != (g.n, g.n):
+        raise ValueError(f"operator shape {op.shape} does not match a graph of {g.n} nodes")
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
@@ -87,7 +89,6 @@ def dpn_distance(embeddings, g: SparseGraph, mask: EdgeMask | None = None) -> fl
     swap = g.labels[e[:, 0]] == -1
     a = np.where(swap, e[:, 1], e[:, 0])
     b = np.where(swap, e[:, 0], e[:, 1])
-    op = propagation_operator(g, mask)
     wts = np.asarray(op[a, b]).ravel()
     d2 = ((x[a] - x[b]) ** 2).sum(axis=1)
     return float(0.5 * np.sum(wts * d2))
@@ -103,9 +104,7 @@ def check_aggregation_contraction(g: SparseGraph, mask: EdgeMask | None, embeddi
     if x.ndim == 1:
         x = x[:, None]
     op = propagation_operator(g, mask)
-    before = dpn_distance(x, g, mask)
-    after = dpn_distance(op @ x, g, mask)
-    return before, after
+    return dpn_distance(x, g, op), dpn_distance(op @ x, g, op)
 
 
 def irreducibility_diagnostic(scores, quantile: float = 0.01) -> float:

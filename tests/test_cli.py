@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import gpl.cli
 import gpl.metrics
 from gpl.cli import ConfigError, _load_train_config, main, parse_config
 from gpl.graph import heterophily_ratio
@@ -355,6 +356,31 @@ class TestSweep:
         assert rc == 1
         assert "values must be distinct" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("values,bad", [("2.2,2.4", "'2.2'"), ("nan,3", "'nan'"),
+                                            ("-1,3", "'-1'"), ("3,inf", "'inf'")])
+    def test_k_prop_values_must_be_non_negative_integers(self, tmp_path, cfg_file, capsys,
+                                                         monkeypatch, values, bad):
+        built = []
+        monkeypatch.setattr(gpl.cli, "_planted", lambda *a: built.append(a))
+        out = tmp_path / "x"
+        rc = main(["sweep", "--var", "k_prop", f"--values={values}", "--seeds", "0",
+                   "--config", cfg_file, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--values" in err and bad in err
+        assert built == []  # rejected before any job ran
+        assert not out.exists()
+
+    def test_k_prop_sweep_runs_the_integer_values(self, tmp_path, cfg_file):
+        out = tmp_path / "sw"
+        rc = main(["sweep", "--var", "k_prop", "--values", "1,3.0", "--seeds", "0",
+                   "--method", "gpl", "--n", "60", "--avg-degree", "4",
+                   "--config", cfg_file, "--out", str(out)])
+        assert rc == 0
+        runs = [r.split(",") for r in (out / "runs.csv").read_text().splitlines()[1:]]
+        assert [r[1] for r in runs] == ["1", "3"]
+        assert runs[0][4:] != runs[1][4:]  # two different configurations ran
 
 
 class TestValidate:

@@ -19,7 +19,7 @@ from gpl.gnn import (
     select_top,
 )
 from gpl.graph import build_graph, gcn_operator
-from gpl.metrics import random_test_graph
+from gpl.metrics import random_mask, random_test_graph
 from gpl.synth import PlantedConfig, generate_planted, make_pu_split
 
 
@@ -236,6 +236,18 @@ class TestWorkspace:
             with pytest.raises(ClassifierError, match="workspace"):
                 forward(state, op, g.features, work=work)
 
+    def test_feature_width_mismatch_names_both_widths(self):
+        rng = np.random.default_rng(0)
+        g = random_test_graph(rng, 6, 0.4)  # 3 feature columns
+        op = gcn_operator(g, None)
+        state = init_classifier(5, 4, seed=0)
+        with pytest.raises(ClassifierError, match="W1 has 5 rows but X has 3 feature columns"):
+            forward(state, op, g.features)
+        with pytest.raises(ClassifierError, match="5 rows.*3 feature columns"):
+            loss_gradients(state, op, g.features, [0], [1])
+        with pytest.raises(ClassifierError, match="5 rows.*3 feature columns"):
+            backward_and_step(state, op, g.features, [0], [1], 0.01, work=Workspace(op, g.features, 4))
+
     def test_step_on_a_shared_workspace_allocates_less_than_one_hidden_layer(self):
         n, hidden = 4000, 16
         g, op, pos, neg = self.problem(n)
@@ -249,6 +261,48 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < n * hidden * 8
+
+
+def textbook_step(state, op, X, pos, neg):
+    """(grads, loss, z) of pu_loss written out plainly: the bias added after
+    the first product, a matmul outer product, a CSR transpose and a column
+    sum for the b1 gradient."""
+    xs = op @ X
+    pre1 = xs @ state.W1 + state.b1
+    h1 = np.maximum(pre1, 0.0)
+    z = expit((op @ (h1 @ state.W2)).ravel() + state.b2[0])
+    loss = -float(np.mean(np.log(z[pos] + 1e-12))) - float(np.mean(np.log(1.0 - z[neg] + 1e-12)))
+    dz = np.zeros_like(z)
+    dz[pos] -= 1.0 / (pos.size * (z[pos] + 1e-12))
+    dz[neg] += 1.0 / (neg.size * (1.0 - z[neg] + 1e-12))
+    dpre2 = dz * z * (1.0 - z)
+    dq = (op.T.tocsr() @ dpre2)[:, None]
+    dpre1 = np.matmul(dq, state.W2.T) * (pre1 > 0.0)
+    grads = {"W1": xs.T @ dpre1, "b1": dpre1.sum(axis=0), "W2": h1.T @ dq,
+             "b2": np.array([dpre2.sum()])}
+    return grads, loss, z
+
+
+class TestAgainstTextbookStep:
+    @pytest.mark.parametrize("n", [300, 4000, 16000])
+    def test_loss_scores_and_gradients(self, n):
+        g = generate_planted(PlantedConfig(n=n, h=0.7, avg_degree=10, seed=1))
+        split = make_pu_split(g, 0.5, seed=1)
+        op = gcn_operator(g, random_mask(np.random.default_rng(n), g))
+        state = init_classifier(g.features.shape[1], 16, seed=3)
+        rng = np.random.default_rng(n + 1)
+        for p in state.params().values():  # move off the init so both relu sides occur
+            p += 0.3 * rng.normal(size=p.shape)
+        ref, ref_loss, ref_z = textbook_step(state, op, g.features, split.P, split.U)
+        grads, loss = loss_gradients(state, op, g.features, split.P, split.U)
+        assert loss == ref_loss
+        np.testing.assert_array_equal(forward(state, op, g.features), ref_z)
+        for k in ("W2", "b2"):
+            np.testing.assert_array_equal(grads[k], ref[k], err_msg=k)
+        # W1 and b1 come from one product over [xs | 1]; how BLAS splits its
+        # n-long reduction depends on the BLAS build, so only a bound holds
+        for k in ("W1", "b1"):
+            assert np.abs(grads[k] - ref[k]).max() <= 1e-13 * np.abs(ref[k]).max(), k
 
 
 class TestPredictLabels:

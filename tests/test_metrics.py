@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import gpl.metrics as metrics
-from gpl.graph import EdgeMask, GraphError, build_graph, init_mask
+from gpl.graph import EdgeMask, GraphError, build_graph, init_mask, propagation_operator
 from gpl.metrics import (
     check_aggregation_contraction,
     check_influence_sum,
@@ -77,22 +77,23 @@ class TestHeterophilyInfluence:
                         np.array([1, -1, 1, -1]))
         e0 = pure_beliefs(g.labels)
         cfg = PropagationConfig(alpha=0.5, k_prop=3)
-        assert heterophily_influence(g, None, e0, cfg, 0, 2) == 0.0
+        assert heterophily_influence(propagation_operator(g, None), e0, cfg, 0, 2) == 0.0
 
     def test_two_node_slope(self, path2):
         e0 = np.array([[1.0, 0.0], [0.0, 1.0]])
         cfg = PropagationConfig(alpha=0.5, k_prop=1)
-        hi = heterophily_influence(path2, None, e0, cfg, 0, 1)
+        hi = heterophily_influence(propagation_operator(path2, None), e0, cfg, 0, 1)
         assert hi == pytest.approx(0.5, abs=1e-8)
 
     def test_beyond_propagation_radius(self, path3):
         e0 = pure_beliefs(path3.labels)
         cfg = PropagationConfig(alpha=0.5, k_prop=1)
-        assert heterophily_influence(path3, None, e0, cfg, 0, 2) == pytest.approx(0.0, abs=1e-12)
+        op = propagation_operator(path3, None)
+        assert heterophily_influence(op, e0, cfg, 0, 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_same_node_rejected(self, path2):
         with pytest.raises(ValueError):
-            heterophily_influence(path2, None, pure_beliefs(path2.labels),
+            heterophily_influence(propagation_operator(path2, None), pure_beliefs(path2.labels),
                                   PropagationConfig(alpha=0.5, k_prop=1), 1, 1)
 
 
@@ -143,7 +144,7 @@ class TestDpnDistance:
     def test_no_cross_edges(self):
         g = build_graph(4, [(0, 1), (2, 3)], np.zeros((4, 1)),
                         np.array([1, 1, -1, -1]))
-        assert dpn_distance(np.arange(4.0), g) == 0.0
+        assert dpn_distance(np.arange(4.0), g, propagation_operator(g, None)) == 0.0
 
     def test_hand_value(self, path2):
         # one cross edge, operator entry 1.0 on a 2-path; scale the mask
@@ -152,18 +153,23 @@ class TestDpnDistance:
                         np.array([1, -1, 1]))
         x = np.array([1.0, 0.0, 1.0])
         # row 0 splits mass 0.5/0.5; cross pair (0,1) has weight 0.5
-        assert dpn_distance(x, g) == pytest.approx(0.5 * 0.5 * 1.0)
+        assert dpn_distance(x, g, propagation_operator(g, None)) == pytest.approx(0.5 * 0.5 * 1.0)
+
+    def test_operator_of_another_graph_rejected(self, path2):
+        with pytest.raises(ValueError, match="does not match a graph of 5 nodes"):
+            dpn_distance(np.ones(5), star5(), propagation_operator(path2, None))
 
     def test_identical_embeddings(self):
         g = star5()
-        assert dpn_distance(np.ones(5), g) == 0.0
+        assert dpn_distance(np.ones(5), g, propagation_operator(g, None)) == 0.0
 
     def test_multidim_decomposes(self):
         g = star5()
         rng = np.random.default_rng(1)
         x = rng.normal(size=(5, 3))
-        total = dpn_distance(x, g)
-        per_dim = sum(dpn_distance(x[:, j], g) for j in range(3))
+        op = propagation_operator(g, None)
+        total = dpn_distance(x, g, op)
+        per_dim = sum(dpn_distance(x[:, j], g, op) for j in range(3))
         assert total == pytest.approx(per_dim, abs=1e-12)
 
 
