@@ -157,28 +157,37 @@ def cmd_estimate_prior(args) -> int:
     return 0
 
 
-def _sweep_values(var: str, text: str) -> list:
-    """The values of --values as the runs use them: floats, or for k_prop
-    non-negative integers. Every value is checked before any job runs."""
-    tokens = text.split(",")
-    values = [float(t) for t in tokens]
-    if var == "k_prop":
-        for t, v in zip(tokens, values):
-            if not (v >= 0 and v.is_integer()):  # NaN fails the comparison, inf is_integer
-                raise ConfigError(f"--values: k_prop must be a non-negative integer, got {t.strip()!r}")
-        values = [int(v) for v in values]
+def _parse_list(flag: str, text: str, parse) -> list:
+    """The comma-separated values of a flag, each read by parse (float or
+    int). A token parse rejects, or a repeated value, raises ConfigError."""
+    values = []
+    for t in text.split(","):
+        try:
+            values.append(parse(t))
+        except ValueError:
+            raise ConfigError(f"{flag}: expected {parse.__name__} values, got {t.strip()!r}") from None
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{flag}: values must be distinct")
     return values
+
+
+def _sweep_values(var: str, text: str) -> list:
+    """The values of --values as the runs use them: h in [0, 1], rp in (0, 1],
+    k_prop non-negative integers. Every value is checked before any job runs."""
+    values = _parse_list("--values", text, float)
+    rule, ok = {"h": ("lie in [0, 1]", lambda v: 0 <= v <= 1), "rp": ("lie in (0, 1]", lambda v: 0 < v <= 1),
+                "k_prop": ("be a non-negative integer", lambda v: v >= 0 and v.is_integer())}[var]
+    for t, v in zip(text.split(","), values):
+        if not ok(v):  # NaN fails every comparison, and inf.is_integer() is False
+            raise ConfigError(f"--values: {var} must {rule}, got {t.strip()!r}")
+    return [int(v) for v in values] if var == "k_prop" else values
 
 
 def cmd_sweep(args) -> int:
     values = _sweep_values(args.var, args.values)
     if len(values) < 2:
         raise ConfigError("sweep needs at least two values")
-    if len(set(values)) != len(values):
-        raise ConfigError("sweep values must be distinct")
-    seeds = [int(t) for t in args.seeds.split(",")]
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("sweep seeds must be distinct")
+    seeds = _parse_list("--seeds", args.seeds, int)
     methods = ["gpl", "baseline"] if args.method == "both" else [args.method]
     base_cfg = _load_train_config(args)
 

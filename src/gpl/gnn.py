@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -14,43 +14,37 @@ ADAM_B1 = 0.9
 ADAM_B2 = 0.999
 ADAM_EPS = 1e-8
 
-PARAM_NAMES = ("W1", "b1", "W2", "b2")
-
 
 class ClassifierError(ValueError):
     """Raised for invalid classifier inputs or non-finite losses."""
 
 
-@dataclass
 class ClassifierState:
-    """Parameters, Adam moments, and step counter for the 2-layer model."""
+    """Parameters, Adam moments and step counter of the 2-layer model: theta,
+    adam_m and adam_v are vectors laid out as [W1 | b1 | W2 | b2], and W1b1 =
+    [W1; b1], W1, b1, W2 and b2 are views of theta."""
 
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-    adam_m: dict = field(default_factory=dict)
-    adam_v: dict = field(default_factory=dict)
-    t: int = 0
+    def __init__(self, d_in: int, hidden: int):
+        k = (d_in + 1) * hidden
+        self.theta, self.adam_m, self.adam_v = np.zeros((3, k + hidden + 1))
+        self.t = 0
+        self.W1b1 = self.theta[:k].reshape(d_in + 1, hidden)
+        self.W1, self.b1 = self.W1b1[:-1], self.W1b1[-1]
+        self.W2, self.b2 = self.theta[k:-1].reshape(hidden, 1), self.theta[-1:]
 
     def params(self) -> dict:
-        return {k: getattr(self, k) for k in PARAM_NAMES}
+        return {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
 
 
 def init_classifier(d_in: int, hidden: int, seed: int) -> ClassifierState:
-    """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)], seeded."""
+    """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)], seeded. W1 and b1
+    share a scale, and so do W2 and b2, so one draw fills each pair."""
     rng = np.random.default_rng(seed)
     s1 = 1.0 / np.sqrt(d_in)
     s2 = 1.0 / np.sqrt(hidden)
-    state = ClassifierState(
-        W1=rng.uniform(-s1, s1, size=(d_in, hidden)),
-        b1=rng.uniform(-s1, s1, size=hidden),
-        W2=rng.uniform(-s2, s2, size=(hidden, 1)),
-        b2=rng.uniform(-s2, s2, size=1),
-    )
-    for k, p in state.params().items():
-        state.adam_m[k] = np.zeros_like(p)
-        state.adam_v[k] = np.zeros_like(p)
+    state = ClassifierState(d_in, hidden)
+    state.W1b1[:] = rng.uniform(-s1, s1, size=state.W1b1.shape)
+    state.theta[state.W1b1.size:] = rng.uniform(-s2, s2, size=hidden + 1)
     return state
 
 
@@ -97,7 +91,7 @@ def _workspace(state: ClassifierState, op, X, work):
 
 
 def _forward_cache(state: ClassifierState, work: Workspace):
-    np.matmul(work.xs1, np.vstack([state.W1, state.b1]), out=work.pre1)
+    np.matmul(work.xs1, state.W1b1, out=work.pre1)
     np.maximum(work.pre1, 0.0, out=work.h1)
     pre2 = (work.op @ (work.h1 @ state.W2)).ravel() + state.b2[0]
     return expit(pre2)
@@ -133,7 +127,8 @@ def pu_loss(z: np.ndarray, positives, negatives) -> float:
 
 
 def loss_gradients(state: ClassifierState, op, X, positives, negatives, *, work: Workspace | None = None):
-    """Exact gradients of pu_loss in every parameter. Returns (grads, loss).
+    """Exact gradient of pu_loss in every parameter. Returns (grad, loss),
+    with grad laid out like state.theta.
 
     The operator is treated as a constant: no gradient flows to the edge
     mask from the classification loss. `work` is as in forward.
@@ -156,9 +151,9 @@ def loss_gradients(state: ClassifierState, op, X, positives, negatives, *, work:
     dq = (work.opT @ dpre2)[:, None]  # adjoint of the outer aggregation
     dpre1 = np.multiply(dq, state.W2.T, out=work.dpre1)
     dpre1 *= np.greater(work.pre1, 0.0, out=work.relu)
-    g1 = work.xs1.T @ dpre1  # rows: the W1 gradient, then the b1 gradient
-    grads = {"W1": g1[:-1], "b1": g1[-1], "W2": work.h1.T @ dq, "b2": np.array([dpre2.sum()])}
-    return grads, loss
+    # laid out like theta; one product over [xs | 1] gives the W1 and b1 rows
+    grad = np.concatenate([(work.xs1.T @ dpre1).ravel(), (work.h1.T @ dq).ravel(), [dpre2.sum()]])
+    return grad, loss
 
 
 def backward_and_step(
@@ -170,15 +165,13 @@ def backward_and_step(
     """
     if lr < 0:
         raise ClassifierError("lr must be >= 0")
-    grads, loss = loss_gradients(state, op, X, positives, negatives, work=work)
+    grad, loss = loss_gradients(state, op, X, positives, negatives, work=work)
     state.t += 1
-    for k, p in state.params().items():
-        gk = grads[k]
-        state.adam_m[k] = ADAM_B1 * state.adam_m[k] + (1 - ADAM_B1) * gk
-        state.adam_v[k] = ADAM_B2 * state.adam_v[k] + (1 - ADAM_B2) * gk * gk
-        mhat = state.adam_m[k] / (1 - ADAM_B1**state.t)
-        vhat = state.adam_v[k] / (1 - ADAM_B2**state.t)
-        p -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    state.adam_m = ADAM_B1 * state.adam_m + (1 - ADAM_B1) * grad
+    state.adam_v = ADAM_B2 * state.adam_v + (1 - ADAM_B2) * grad * grad
+    mhat = state.adam_m / (1 - ADAM_B1**state.t)
+    vhat = state.adam_v / (1 - ADAM_B2**state.t)
+    state.theta -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     return state, loss
 
 

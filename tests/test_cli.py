@@ -372,6 +372,30 @@ class TestSweep:
         assert built == []  # rejected before any job ran
         assert not out.exists()
 
+    @pytest.mark.parametrize("var,values,seeds,bad", [
+        ("h", "0.3,1.5", "0", "--values: h must lie in [0, 1], got '1.5'"),
+        ("h", "-0.1,0.3", "0", "--values: h must lie in [0, 1], got '-0.1'"),
+        ("h", "0.3,nan", "0", "--values: h must lie in [0, 1], got 'nan'"),
+        ("rp", "0,0.5", "0", "--values: rp must lie in (0, 1], got '0'"),
+        ("rp", "0.5,1.5", "0", "--values: rp must lie in (0, 1], got '1.5'"),
+        ("rp", "nan,0.3", "0", "--values: rp must lie in (0, 1], got 'nan'"),
+        ("h", "0.3,x", "0", "--values: expected float values, got 'x'"),
+        ("rp", "0.3,", "0", "--values: expected float values, got ''"),
+        ("h", "0.3,0.5", "0,1.5", "--seeds: expected int values, got '1.5'"),
+        ("h", "0.3,0.5", "a", "--seeds: expected int values, got 'a'"),
+    ])
+    def test_bad_values_and_seeds_rejected_before_any_job(self, tmp_path, cfg_file, capsys,
+                                                          monkeypatch, var, values, seeds, bad):
+        built = []
+        monkeypatch.setattr(gpl.cli, "_planted", lambda *a: built.append(a))
+        out = tmp_path / "x"
+        rc = main(["sweep", "--var", var, f"--values={values}", f"--seeds={seeds}",
+                   "--config", cfg_file, "--out", str(out)])
+        assert rc == 1
+        assert bad in capsys.readouterr().err
+        assert built == []  # rejected before any job ran
+        assert not (out / "runs.csv").exists()
+
     def test_k_prop_sweep_runs_the_integer_values(self, tmp_path, cfg_file):
         out = tmp_path / "sw"
         rc = main(["sweep", "--var", "k_prop", "--values", "1,3.0", "--seeds", "0",

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from gpl.gnn import (
+    ADAM_B1,
+    ADAM_B2,
+    ADAM_EPS,
     ClassifierError,
     Workspace,
     backward_and_step,
@@ -19,7 +22,7 @@ from gpl.gnn import (
     select_top,
 )
 from gpl.graph import build_graph, gcn_operator
-from gpl.metrics import random_mask, random_test_graph
+from gpl.metrics import fd_classifier_gradients, random_mask, random_test_graph
 from gpl.synth import PlantedConfig, generate_planted, make_pu_split
 
 
@@ -28,6 +31,38 @@ def zeroed(d_in, hidden):
     for p in st_.params().values():
         p[:] = 0.0
     return st_
+
+
+def named(vec, state):
+    """vec, laid out like state.theta, cut into blocks named and shaped as
+    state.params(): a reading of the layout independent of the views."""
+    out, k = {}, 0
+    for name, p in state.params().items():
+        out[name] = vec[k:k + p.size].reshape(p.shape)
+        k += p.size
+    assert k == vec.size
+    return out
+
+
+class TestLayout:
+    @pytest.mark.parametrize("d_in,hidden,seed", [(1, 1, 0), (3, 4, 7), (8, 16, 123)])
+    def test_init_draws_the_four_blocks_in_order_into_theta(self, d_in, hidden, seed):
+        rng = np.random.default_rng(seed)
+        s1, s2 = 1.0 / np.sqrt(d_in), 1.0 / np.sqrt(hidden)
+        want = {"W1": rng.uniform(-s1, s1, size=(d_in, hidden)), "b1": rng.uniform(-s1, s1, size=hidden),
+                "W2": rng.uniform(-s2, s2, size=(hidden, 1)), "b2": rng.uniform(-s2, s2, size=1)}
+        state = init_classifier(d_in, hidden, seed)
+        assert list(state.params()) == list(want)
+        for k, p in state.params().items():
+            assert p.shape == want[k].shape, k
+            np.testing.assert_array_equal(p, want[k], err_msg=k)
+            assert np.shares_memory(p, state.theta), k
+        assert np.shares_memory(state.W1b1, state.theta)
+        np.testing.assert_array_equal(state.W1b1, np.vstack([want["W1"], want["b1"]]))
+        np.testing.assert_array_equal(state.theta, np.concatenate([w.ravel() for w in want.values()]))
+        for v in (state.theta, state.adam_m, state.adam_v):
+            assert v.shape == ((d_in + 1) * hidden + hidden + 1,)
+        assert not state.adam_m.any() and not state.adam_v.any() and state.t == 0
 
 
 class TestForward:
@@ -151,27 +186,12 @@ class TestBackward:
             state = init_classifier(3, 3, seed=trial)
             op = gcn_operator(g, None)
             pos, neg = [0, 1], [4, 5]
-            grads, _ = loss_gradients(state, op, g.features, pos, neg)
-            step = 1e-5
-            for name, g_ana in grads.items():
-                p = getattr(state, name)
-                g_num = np.zeros_like(np.atleast_1d(p), dtype=float)
-                it = np.nditer(np.atleast_1d(p), flags=["multi_index"])
-                while not it.finished:
-                    idx = it.multi_index
-                    orig = np.atleast_1d(p)[idx]
-                    np.atleast_1d(p)[idx] = orig + step
-                    hi = pu_loss(forward(state, op, g.features), pos, neg)
-                    np.atleast_1d(p)[idx] = orig - step
-                    lo = pu_loss(forward(state, op, g.features), pos, neg)
-                    np.atleast_1d(p)[idx] = orig
-                    g_num[idx] = (hi - lo) / (2 * step)
-                    it.iternext()
-                g_ana = np.atleast_1d(g_ana)
-                big = np.abs(g_num) > 1e-8
-                if big.any():
-                    rel = np.abs(g_ana[big] - g_num[big]) / np.abs(g_num[big])
-                    assert rel.max() < 1e-4, name
+            grad, _ = loss_gradients(state, op, g.features, pos, neg)
+            g_num = fd_classifier_gradients(state, op, g.features, pos, neg)
+            big = np.abs(g_num) > 1e-8
+            assert big.any()
+            rel = np.abs(grad[big] - g_num[big]) / np.abs(g_num[big])
+            assert rel.max() < 1e-4, np.flatnonzero(big)[np.argmax(rel)]
 
     def test_separable_graph_trains_to_low_loss(self):
         cfg = PlantedConfig(n=80, pi_p=0.5, h=0.1, avg_degree=6,
@@ -215,12 +235,12 @@ class TestWorkspace:
             assert loss_a == loss_b
         for k, p in fresh.params().items():
             np.testing.assert_array_equal(shared.params()[k], p, err_msg=k)
-            np.testing.assert_array_equal(shared.adam_m[k], fresh.adam_m[k])
-            np.testing.assert_array_equal(shared.adam_v[k], fresh.adam_v[k])
+            np.testing.assert_array_equal(named(shared.adam_m, shared)[k], named(fresh.adam_m, fresh)[k])
+            np.testing.assert_array_equal(named(shared.adam_v, shared)[k], named(fresh.adam_v, fresh)[k])
         np.testing.assert_array_equal(forward(shared, op, g.features, work=work),
                                       forward(fresh, op, g.features))
-        grads_a, _ = loss_gradients(fresh, op, g.features, pos, neg)
-        grads_b, _ = loss_gradients(fresh, op, g.features, pos, neg, work=work)
+        grads_a = named(loss_gradients(fresh, op, g.features, pos, neg)[0], fresh)
+        grads_b = named(loss_gradients(fresh, op, g.features, pos, neg, work=work)[0], fresh)
         for k in grads_a:
             np.testing.assert_array_equal(grads_b[k], grads_a[k], err_msg=k)
 
@@ -294,7 +314,8 @@ class TestAgainstTextbookStep:
         for p in state.params().values():  # move off the init so both relu sides occur
             p += 0.3 * rng.normal(size=p.shape)
         ref, ref_loss, ref_z = textbook_step(state, op, g.features, split.P, split.U)
-        grads, loss = loss_gradients(state, op, g.features, split.P, split.U)
+        grad, loss = loss_gradients(state, op, g.features, split.P, split.U)
+        grads = named(grad, state)
         assert loss == ref_loss
         np.testing.assert_array_equal(forward(state, op, g.features), ref_z)
         for k in ("W2", "b2"):
@@ -303,6 +324,36 @@ class TestAgainstTextbookStep:
         # n-long reduction depends on the BLAS build, so only a bound holds
         for k in ("W1", "b1"):
             assert np.abs(grads[k] - ref[k]).max() <= 1e-13 * np.abs(ref[k]).max(), k
+
+    @pytest.mark.parametrize("lr", [0.01, 0.05])
+    def test_adam_matches_the_per_block_update(self, lr):
+        # the per-block Adam loop over four named blocks and dict moments,
+        # fed the same gradients; Adam is elementwise, so one update on the
+        # whole vector must give the same bits
+        g = generate_planted(PlantedConfig(n=300, h=0.7, avg_degree=10, seed=1))
+        split = make_pu_split(g, 0.5, seed=1)
+        op = gcn_operator(g, None)
+        d_in = g.features.shape[1]
+        state = init_classifier(d_in, 16, seed=3)
+        probe = init_classifier(d_in, 16, seed=3)  # gradients at the reference parameters
+        params = {k: p.copy() for k, p in state.params().items()}
+        m = {k: np.zeros_like(p) for k, p in params.items()}
+        v = {k: np.zeros_like(p) for k, p in params.items()}
+        for t in range(1, 26):
+            probe.theta[:] = np.concatenate([p.ravel() for p in params.values()])
+            grads = named(loss_gradients(probe, op, g.features, split.P, split.U)[0], probe)
+            for k, p in params.items():
+                gk = grads[k]
+                m[k] = ADAM_B1 * m[k] + (1 - ADAM_B1) * gk
+                v[k] = ADAM_B2 * v[k] + (1 - ADAM_B2) * gk * gk
+                mhat = m[k] / (1 - ADAM_B1**t)
+                vhat = v[k] / (1 - ADAM_B2**t)
+                p -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            state, _ = backward_and_step(state, op, g.features, split.P, split.U, lr)
+        assert state.t == 25
+        assert not np.array_equal(state.theta, init_classifier(d_in, 16, seed=3).theta)
+        for vec, blocks in ((state.theta, params), (state.adam_m, m), (state.adam_v, v)):
+            np.testing.assert_array_equal(vec, np.concatenate([b.ravel() for b in blocks.values()]))
 
 
 class TestPredictLabels:
