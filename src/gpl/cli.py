@@ -82,19 +82,20 @@ def _run_one(g, split, cfg, method: str):
     return _summary(trace, split, cfg), trace, clf
 
 
-def _planted(args, h: float, seed: int):
-    """The planted graph that _add_planted_args' flags describe, at h and seed."""
-    return generate_planted(PlantedConfig(
+def _planted_config(args, h: float, seed: int) -> PlantedConfig:
+    """The planted-graph config that _add_planted_args' flags describe, at h
+    and seed; building it checks every value."""
+    return PlantedConfig(
         n=args.n, pi_p=args.pi_p, h=h, avg_degree=args.avg_degree,
         feature_dim=args.feature_dim, feature_separation=args.mu, seed=seed,
-    ))
+    )
 
 
 def cmd_synth(args) -> int:
-    hs = [float(t) for t in str(args.h).split(",")]
-    for h in hs:
-        g = _planted(args, h, args.seed)
-        out = args.out if len(hs) == 1 else os.path.join(args.out, f"h{h:g}")
+    cfgs = [_planted_config(args, h, args.seed) for h in _ruled_list("--h", "h", args.h)]
+    for pcfg in cfgs:  # every value was checked before the first write
+        g = generate_planted(pcfg)
+        out = args.out if len(cfgs) == 1 else os.path.join(args.out, f"h{pcfg.h:g}")
         save_dataset(g, out)
         print(f"wrote {out} (n={g.n}, m={g.m}, h={heterophily_ratio(g):.4f})")
     return 0
@@ -171,28 +172,36 @@ def _parse_list(flag: str, text: str, parse) -> list:
     return values
 
 
-def _sweep_values(var: str, text: str) -> list:
-    """The values of --values as the runs use them: h in [0, 1], rp in (0, 1],
-    k_prop non-negative integers. Every value is checked before any job runs."""
-    values = _parse_list("--values", text, float)
+def _ruled_list(flag: str, var: str, text: str) -> list:
+    """The float values of a comma-separated flag, each held to var's rule:
+    h in [0, 1], rp in (0, 1], k_prop non-negative integers."""
+    values = _parse_list(flag, text, float)
     rule, ok = {"h": ("lie in [0, 1]", lambda v: 0 <= v <= 1), "rp": ("lie in (0, 1]", lambda v: 0 < v <= 1),
                 "k_prop": ("be a non-negative integer", lambda v: v >= 0 and v.is_integer())}[var]
     for t, v in zip(text.split(","), values):
         if not ok(v):  # NaN fails every comparison, and inf.is_integer() is False
-            raise ConfigError(f"--values: {var} must {rule}, got {t.strip()!r}")
-    return [int(v) for v in values] if var == "k_prop" else values
+            raise ConfigError(f"{flag}: {var} must {rule}, got {t.strip()!r}")
+    return values
 
 
 def cmd_sweep(args) -> int:
-    values = _sweep_values(args.var, args.values)
+    # every value is checked before any job runs
+    values = _ruled_list("--values", args.var, args.values)
+    if args.var == "k_prop":
+        values = [int(v) for v in values]
     if len(values) < 2:
         raise ConfigError("sweep needs at least two values")
+    _ruled_list("--h", "h", str(args.h))
+    _ruled_list("--rp", "rp", str(args.rp))
     seeds = _parse_list("--seeds", args.seeds, int)
+    if min(seeds) < 0:
+        raise ConfigError(f"--seeds: seeds must be non-negative, got {min(seeds)}")
+    planted = _planted_config(args, args.h, seeds[0])
     methods = ["gpl", "baseline"] if args.method == "both" else [args.method]
     base_cfg = _load_train_config(args)
 
     def job(value, seed, method):
-        g = _planted(args, value if args.var == "h" else args.h, seed)
+        g = generate_planted(replace(planted, h=value if args.var == "h" else args.h, seed=seed))
         rp = value if args.var == "rp" else args.rp
         cfg = replace(base_cfg, seed=seed)
         if args.var == "k_prop":

@@ -124,11 +124,9 @@ def _node_ids(nodes) -> np.ndarray:
     return np.asarray(list(nodes), dtype=np.int64)
 
 
-def init_mask(g: SparseGraph, w0: float = 0.95) -> EdgeMask:
-    """Mask starting near the unmasked graph (all weights = w0)."""
-    if not 0.0 < w0 < 1.0:
-        raise GraphError("initial weight must lie in (0, 1)")
-    return EdgeMask(np.full(g.m, logit(w0), dtype=np.float64))
+def init_mask(g: SparseGraph) -> EdgeMask:
+    """Mask starting near the unmasked graph (all weights = 0.95)."""
+    return EdgeMask(np.full(g.m, logit(0.95), dtype=np.float64))
 
 
 @dataclass(frozen=True)

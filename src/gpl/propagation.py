@@ -102,17 +102,10 @@ def lpl_loss(beliefs, positives, negatives=()) -> float:
     return loss
 
 
-def lpl_gradient(
-    g: SparseGraph,
-    mask: EdgeMask,
-    e0: np.ndarray,
-    cfg: PropagationConfig,
-    positives,
-    negatives=(),
-    *,
-    states=None,
-) -> np.ndarray:
-    """d(lpl_loss)/d(theta_e), exact through the K-step unroll.
+def lpl_gradient(g: SparseGraph, mask: EdgeMask, states, cfg: PropagationConfig, positives,
+                 negatives=()) -> np.ndarray:
+    """d(lpl_loss)/d(theta_e), exact through the K-step unroll whose K+1
+    beliefs E_0..E_K propagate(..., states=) recorded for this mask.
 
     The row normalization P = D^-1 (M*A) depends on the mask, so the
     gradient has two parts per directed edge (u, v) with weight w and
@@ -134,17 +127,15 @@ def lpl_gradient(
     every row of P sums to 1, so it cancels in Gamma_uv - r_u. The adjoint
     therefore runs on the one n-vector delta, with the same recursion. The
     result equals the two-column formula up to rounding, and requires the
-    rows of e0 to sum to 1 within 1e-12.
+    rows of E_0 = states[0] to sum to 1 within 1e-12.
 
     A log clamped at its floor (belief <= eps) contributes zero slope.
-    `states` may hold the K+1 beliefs propagate(..., states=) recorded for
-    this mask and e0; the forward unroll is then skipped.
     """
     pos, neg = _check_anchor_sets(positives, negatives)
     K = cfg.k_prop
-    if states is not None and len(states) != K + 1:
+    if len(states) != K + 1:
         raise PropagationError(f"expected {K + 1} belief states, got {len(states)}")
-    sums = e0[:, 0] + e0[:, 1]
+    sums = states[0][:, 0] + states[0][:, 1]
     bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-12)
     if bad.size:
         raise PropagationError(f"belief row {bad[0]} sums to {float(sums[bad[0]])}, not 1")
@@ -155,9 +146,6 @@ def lpl_gradient(
     i, j = g.edges[:, 0], g.edges[:, 1]
     op = propagation_operator(g, mask)
     d = _propagation_degrees(g, w)
-    if states is None:
-        states = []
-        propagate(op, e0, cfg, states=states)
 
     delta = np.zeros(g.n)
     bp = states[-1][pos, 1]
@@ -225,7 +213,7 @@ def optimize_mask(
     if not np.isfinite(prev):
         raise PropagationError("non-finite loss at initialization")
     for _ in range(steps):
-        grad = lpl_gradient(g, EdgeMask(theta), e0, cfg, positives, negatives, states=states)
+        grad = lpl_gradient(g, EdgeMask(theta), states, cfg, positives, negatives)
         if not np.any(grad):
             break
         direction = np.sign(grad)

@@ -73,12 +73,15 @@ class TestSynth:
         ("--avg-degree", "inf", "avg_degree"),
         ("--n", "-5", "n must"),
         ("--mu", "nan", "feature_separation"),
+        ("--h", "0.3,x", "--h: expected float values, got 'x'"),
+        ("--h", "0.3,1.5", "--h: h must lie in [0, 1], got '1.5'"),
     ])
     def test_bad_planted_config_exits_nonzero(self, tmp_path, capsys, flag, value, field):
         rc = main(["synth", flag, value, "--out", str(tmp_path / "x")])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
+        assert not (tmp_path / "x").exists()  # every value is checked before the first write
 
 
 class TestRewire:
@@ -362,7 +365,7 @@ class TestSweep:
     def test_k_prop_values_must_be_non_negative_integers(self, tmp_path, cfg_file, capsys,
                                                          monkeypatch, values, bad):
         built = []
-        monkeypatch.setattr(gpl.cli, "_planted", lambda *a: built.append(a))
+        monkeypatch.setattr(gpl.cli, "generate_planted", built.append)
         out = tmp_path / "x"
         rc = main(["sweep", "--var", "k_prop", f"--values={values}", "--seeds", "0",
                    "--config", cfg_file, "--out", str(out)])
@@ -383,11 +386,13 @@ class TestSweep:
         ("rp", "0.3,", "0", "--values: expected float values, got ''"),
         ("h", "0.3,0.5", "0,1.5", "--seeds: expected int values, got '1.5'"),
         ("h", "0.3,0.5", "a", "--seeds: expected int values, got 'a'"),
+        ("h", "0.3,0.5", "-1,0", "--seeds: seeds must be non-negative, got -1"),
+        ("rp", "0.3,0.5", "2,-3", "--seeds: seeds must be non-negative, got -3"),
     ])
     def test_bad_values_and_seeds_rejected_before_any_job(self, tmp_path, cfg_file, capsys,
                                                           monkeypatch, var, values, seeds, bad):
         built = []
-        monkeypatch.setattr(gpl.cli, "_planted", lambda *a: built.append(a))
+        monkeypatch.setattr(gpl.cli, "generate_planted", built.append)
         out = tmp_path / "x"
         rc = main(["sweep", "--var", var, f"--values={values}", f"--seeds={seeds}",
                    "--config", cfg_file, "--out", str(out)])
@@ -395,6 +400,28 @@ class TestSweep:
         assert bad in capsys.readouterr().err
         assert built == []  # rejected before any job ran
         assert not (out / "runs.csv").exists()
+
+    @pytest.mark.parametrize("flags,bad", [
+        (["--var", "k_prop", "--h", "1.5"], "--h: h must lie in [0, 1], got '1.5'"),
+        (["--var", "rp", "--h", "nan"], "--h: h must lie in [0, 1], got 'nan'"),
+        (["--var", "h", "--rp", "1.5"], "--rp: rp must lie in (0, 1], got '1.5'"),
+        (["--var", "k_prop", "--rp", "0"], "--rp: rp must lie in (0, 1], got '0.0'"),
+        (["--var", "h", "--n", "1"], "n must be >= 2"),
+        (["--var", "rp", "--pi-p", "1"], "pi_p must lie strictly in (0, 1)"),
+        (["--var", "k_prop", "--avg-degree", "0.5"], "avg_degree must be finite and >= 1"),
+    ])
+    def test_bad_fixed_flags_rejected_before_any_job(self, tmp_path, cfg_file, capsys,
+                                                     monkeypatch, flags, bad):
+        built = []
+        monkeypatch.setattr(gpl.cli, "generate_planted", built.append)
+        out = tmp_path / "x"
+        values = {"h": "0.3,0.5", "rp": "0.3,0.5", "k_prop": "1,2"}[flags[1]]
+        rc = main(["sweep", *flags, "--values", values, "--seeds", "0",
+                   "--config", cfg_file, "--out", str(out)])
+        assert rc == 1
+        assert bad in capsys.readouterr().err
+        assert built == []  # rejected before any job ran
+        assert not out.exists()
 
     def test_k_prop_sweep_runs_the_integer_values(self, tmp_path, cfg_file):
         out = tmp_path / "sw"

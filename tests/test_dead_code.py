@@ -1,7 +1,9 @@
 """Every public top-level function and class in src/gpl has a caller outside
 the tests: somewhere in the package, scripts/ or perfbench/ names it other
 than its own definition. The package's __init__ re-exports do not count.
-And no module in src/gpl, tests/ or scripts/ imports a name it never reads."""
+Every defaulted parameter of a public src/gpl function is passed by some
+call outside the tests. And no module in src/gpl, tests/ or scripts/
+imports a name it never reads."""
 
 import ast
 from pathlib import Path
@@ -32,6 +34,43 @@ def unused_public_names(root=ROOT):
         for path in sorted((root / folder).rglob("*.py")):
             used.update(_names(ast.parse(path.read_text(encoding="utf-8"))))
     return sorted(f"{defined[k]}:{k}" for k in defined if k not in used)
+
+
+def unpassed_options(root=ROOT):
+    """file:function:parameter for each defaulted parameter of a public
+    top-level function in src/gpl that no call in the package, scripts/ or
+    perfbench/ passes, by keyword or by position. A call is matched by the
+    function's name; one that splats *args or **kwargs passes everything."""
+    options, calls = {}, []
+    paths = sorted((root / "src" / "gpl").glob("*.py"))
+    for folder in ("scripts", "perfbench"):
+        paths += sorted((root / folder).rglob("*.py"))
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+        if path.parent.name != "gpl":
+            continue
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                a = stmt.args
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                opts = [(i, p.arg) for i, p in enumerate(positional) if i >= first]
+                opts += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                options[stmt.name] = (path.name, opts)
+    passed = set()
+    for call in calls:
+        f = call.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        if name not in options:
+            continue
+        keywords = {k.arg for k in call.keywords}
+        splat = None in keywords or any(isinstance(a, ast.Starred) for a in call.args)
+        for i, param in options[name][1]:
+            if splat or param in keywords or (i is not None and i < len(call.args)):
+                passed.add((name, param))
+    return [f"{file}:{fn}:{param}" for fn, (file, opts) in sorted(options.items())
+            for _, param in opts if (fn, param) not in passed]
 
 
 def unused_imports(root=ROOT):
@@ -86,3 +125,22 @@ def test_import_scan_reports_a_name_nothing_reads(tmp_path):
     (tmp_path / "scripts").mkdir()
     (tmp_path / "scripts" / "s.py").write_text("import sys\nsys.exit()\n")
     assert unused_imports(tmp_path) == ["src/gpl/a.py:js", "src/gpl/a.py:tau", "tests/test_b.py:io"]
+
+
+def test_every_option_is_passed_outside_tests():
+    assert unpassed_options() == []
+
+
+def test_option_scan_reports_a_default_no_call_passes(tmp_path):
+    pkg = tmp_path / "src" / "gpl"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("def f(x, y=1, z=2, *, k=3, must):\n    pass\n\n\n"
+                              "def g(a=0):\n    pass\n\n\n"
+                              "def h(b=0):\n    pass\n\n\n"
+                              "def _private(c=0):\n    pass\n\n\n"
+                              "f(0, 5, must=1)\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text("import gpl.a\ngpl.a.f(0, k=4, must=1)\n")
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "p.py").write_text("import gpl.a\ngpl.a.g(**{})\n")
+    assert unpassed_options(tmp_path) == ["a.py:f:z", "a.py:f:k", "a.py:h:b"]

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logit
 from scipy.stats import chi2
 
 from gpl.graph import (
+    EdgeMask,
     GraphError,
     _pair_from_index,
     build_graph,
@@ -209,14 +211,14 @@ class TestRewire:
 
 class TestOperators:
     def test_path2_rows(self, path2):
-        mask = init_mask(path2, w0=0.5)
+        mask = EdgeMask(np.full(path2.m, logit(0.5)))
         op = propagation_operator(path2, mask).toarray()
         np.testing.assert_allclose(op, [[0, 1], [1, 0]])
 
     def test_uniform_mask_equals_unmasked(self):
         rng = np.random.default_rng(1)
         g = random_test_graph(rng, 10, 0.3)
-        w = propagation_operator(g, init_mask(g, w0=0.3)).toarray()
+        w = propagation_operator(g, EdgeMask(np.full(g.m, logit(0.3)))).toarray()
         u = propagation_operator(g, None).toarray()
         np.testing.assert_allclose(w, u, atol=1e-12)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import logit
 
 import gpl.metrics as metrics
 from gpl.graph import EdgeMask, GraphError, build_graph, init_mask, propagation_operator
@@ -102,7 +103,7 @@ class TestInfluenceSum:
         g = star5()
         e0 = probe_beliefs(g.n, 0)
         cfg = PropagationConfig(alpha=0.5, k_prop=2)
-        total, delta, residual = check_influence_sum(g, init_mask(g, 0.7), e0, cfg, a=0)
+        total, delta, residual = check_influence_sum(g, EdgeMask(np.full(g.m, logit(0.7))), e0, cfg, a=0)
         assert residual <= 1e-6
         assert delta > 0.0
 
@@ -135,7 +136,7 @@ class TestInfluenceSum:
         e0 = probe_beliefs(g.n, 0)
         e0[2] = (1.0, 0.0)
         cfg = PropagationConfig(alpha=0.5, k_prop=2)
-        total, delta, residual = check_influence_sum(g, init_mask(g, 0.7), e0, cfg, a=0)
+        total, delta, residual = check_influence_sum(g, EdgeMask(np.full(g.m, logit(0.7))), e0, cfg, a=0)
         assert residual > 1e-6
         assert delta < total
 
@@ -176,7 +177,7 @@ class TestDpnDistance:
 class TestEdgeWeightMeans:
     def test_hand_value(self, path3):
         # both edges of the path 0-1-2 cross classes
-        mask = init_mask(path3, w0=0.25)
+        mask = EdgeMask(np.full(path3.m, logit(0.25)))
         homo, hetero = edge_weight_means(path3, mask)
         assert np.isnan(homo)
         assert hetero == pytest.approx(0.25)
@@ -214,8 +215,9 @@ class TestContraction:
 
 
 class TestIrreducibility:
-    def test_max_at_zero_quantile(self):
-        assert irreducibility_diagnostic([0.2, 0.5, 0.7], quantile=0.0) == pytest.approx(0.7)
+    def test_reads_the_099_quantile(self):
+        # linear interpolation at position 0.99 * (3 - 1) = 1.98: 0.5 + 0.98 * 0.2
+        assert irreducibility_diagnostic([0.2, 0.5, 0.7]) == pytest.approx(0.696)
 
     def test_score_range_checked(self):
         with pytest.raises(ValueError):

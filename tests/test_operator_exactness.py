@@ -20,7 +20,7 @@ from gpl.graph import (
     rewire_to_heterophily,
 )
 from gpl.metrics import random_test_graph
-from gpl.propagation import LOG_EPS, PropagationConfig, lpl_gradient
+from gpl.propagation import LOG_EPS, PropagationConfig, lpl_gradient, propagate
 from gpl.synth import PlantedConfig, generate_planted
 
 
@@ -214,20 +214,27 @@ def gradient_problem(g):
     return random_mask(rng, g), e0, cfg, pos, neg
 
 
+def recorded_lpl_gradient(g, mask, e0, cfg, pos, neg):
+    """lpl_gradient on the belief states propagate records from e0."""
+    states = []
+    propagate(propagation_operator(g, mask), e0, cfg, states=states)
+    return lpl_gradient(g, mask, states, cfg, pos, neg)
+
+
 EDGED = [(n, g) for n, g in graphs() if g.m]
 
 
 @pytest.mark.parametrize("name,g", EDGED)
 def test_lpl_gradient_matches_one_vector_form(name, g):
     mask, e0, cfg, pos, neg = gradient_problem(g)
-    got = lpl_gradient(g, mask, e0, cfg, pos, neg)
+    got = recorded_lpl_gradient(g, mask, e0, cfg, pos, neg)
     np.testing.assert_array_equal(got, one_vector_lpl_gradient(g, mask, e0, cfg, pos, neg))
 
 
 @pytest.mark.parametrize("name,g", EDGED)
 def test_lpl_gradient_matches_einsum_form(name, g):
     mask, e0, cfg, pos, neg = gradient_problem(g)
-    got = lpl_gradient(g, mask, e0, cfg, pos, neg)
+    got = recorded_lpl_gradient(g, mask, e0, cfg, pos, neg)
     old = einsum_lpl_gradient(g, mask, e0, cfg, pos, neg)
     assert np.abs(got - old).max() <= 1e-13 * np.abs(old).max()
 
@@ -236,7 +243,7 @@ def test_lpl_gradient_matches_einsum_form(name, g):
 @pytest.mark.parametrize("name,g", [(n, g) for n, g in EDGED if g.n < 100])
 def test_lpl_gradient_near_longdouble_value(name, g):
     mask, e0, cfg, pos, neg = gradient_problem(g)
-    got = lpl_gradient(g, mask, e0, cfg, pos, neg)
+    got = recorded_lpl_gradient(g, mask, e0, cfg, pos, neg)
     ref = longdouble_lpl_gradient(g, mask, e0, cfg, pos, neg)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
