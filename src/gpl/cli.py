@@ -325,6 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if (getattr(args, "seed", None) or 0) < 0:  # numpy's own error names no flag
+            raise ConfigError(f"--seed: seeds must be non-negative, got {args.seed}")
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -50,33 +50,27 @@ def init_classifier(d_in: int, hidden: int, seed: int) -> ClassifierState:
 
 class Workspace:
     """Buffers for forward and loss_gradients on one operator and feature
-    matrix, built once per fit and passed as `work=`.
+    matrix, built once per fit and passed as `work=`: xs1T = [op @ X | 1].T,
+    the first aggregation with a ones row, held contiguous as (D+1) x n (the
+    forward multiplies its .T view by [W1; b1], so the bias comes with the
+    product); opT = op.T, a view sharing op's arrays, for the outer adjoint;
+    and scratch arrays xd ((D+1) x n), pre1 and h1 (n x hidden), which
+    every call writes before it reads.
 
-    - xs1 = [op @ X | 1], the first aggregation with a ones column, constant
-      while the operator is: one product with [W1; b1] gives the first
-      layer's pre-activations, and one product of its transpose gives the
-      W1 and b1 gradients together.
-    - opT = op.T, a view that shares op's arrays, for the adjoint of the
-      outer aggregation.
-    - n x hidden scratch arrays, which every call writes before it reads.
-
-    Sharing a workspace between calls leaves every result bit for bit the
-    same. Against the textbook step (xs @ W1 + b1, and the b1 gradient as a
-    column sum) the scores, the loss and the W2 and b2 gradients are bit for
-    bit the same too. The W1 and b1 gradients come from one product over
-    [xs | 1], whose n-long sums BLAS orders its own way, so they can differ
-    in the last bits; how far depends on the BLAS build.
+    Sharing a workspace leaves every result bit for bit the same. Against
+    the textbook step (xs @ W1 + b1, a column sum for the b1 gradient) so do
+    the scores, the loss and the W2 and b2 gradients; the W1 and b1
+    gradients, with W2 out of their n-long sums, can move in the last bits.
     """
 
     def __init__(self, op, X, hidden: int):
         self.op, self.X = op, X
         self.opT = op.T
         n = op.shape[0]
-        self.xs1 = np.hstack([op @ X, np.ones((n, 1))])
+        self.xs1T = np.vstack([(op @ X).T, np.ones(n)])
+        self.xd = np.empty_like(self.xs1T)
         self.pre1 = np.empty((n, hidden))
         self.h1 = np.empty((n, hidden))
-        self.dpre1 = np.empty((n, hidden))
-        self.relu = np.empty((n, hidden), dtype=bool)
 
 
 def _workspace(state: ClassifierState, op, X, work):
@@ -91,7 +85,7 @@ def _workspace(state: ClassifierState, op, X, work):
 
 
 def _forward_cache(state: ClassifierState, work: Workspace):
-    np.matmul(work.xs1, state.W1b1, out=work.pre1)
+    np.matmul(work.xs1T.T, state.W1b1, out=work.pre1)
     np.maximum(work.pre1, 0.0, out=work.h1)
     pre2 = (work.op @ (work.h1 @ state.W2)).ravel() + state.b2[0]
     return expit(pre2)
@@ -130,6 +124,9 @@ def loss_gradients(state: ClassifierState, op, X, positives, negatives, *, work:
     """Exact gradient of pu_loss in every parameter. Returns (grad, loss),
     with grad laid out like state.theta.
 
+    W2 comes out of the first layer's n-long sums: with dq the outer adjoint
+    and M = 1[pre1 > 0] written over pre1, grad[W1; b1] = ((xs1T * dq) @ M) * W2.T.
+
     The operator is treated as a constant: no gradient flows to the edge
     mask from the classification loss. `work` is as in forward.
     """
@@ -148,11 +145,10 @@ def loss_gradients(state: ClassifierState, op, X, positives, negatives, *, work:
         dz[neg] += 1.0 / (neg.size * (1.0 - z_neg + LOG_EPS))
     dpre2 = dz * z * (1.0 - z)
 
-    dq = (work.opT @ dpre2)[:, None]  # adjoint of the outer aggregation
-    dpre1 = np.multiply(dq, state.W2.T, out=work.dpre1)
-    dpre1 *= np.greater(work.pre1, 0.0, out=work.relu)
-    # laid out like theta; one product over [xs | 1] gives the W1 and b1 rows
-    grad = np.concatenate([(work.xs1.T @ dpre1).ravel(), (work.h1.T @ dq).ravel(), [dpre2.sum()]])
+    dq = work.opT @ dpre2  # adjoint of the outer aggregation
+    relu = np.greater(work.pre1, 0.0, out=work.pre1)  # M as 0/1; pre1 is not read again
+    xd = np.multiply(work.xs1T, dq, out=work.xd)
+    grad = np.concatenate([((xd @ relu) * state.W2.T).ravel(), (work.h1.T @ dq[:, None]).ravel(), [dpre2.sum()]])
     return grad, loss
 
 

@@ -83,6 +83,12 @@ class TestSynth:
         assert err.startswith("error:") and field in err
         assert not (tmp_path / "x").exists()  # every value is checked before the first write
 
+    def test_negative_seed_rejected_before_any_write(self, tmp_path, capsys):
+        rc = main(["synth", "--n", "60", "--seed", "-1", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "error: --seed: seeds must be non-negative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestRewire:
     def test_hits_target(self, dataset, tmp_path):
@@ -96,6 +102,14 @@ class TestRewire:
         orig = load_dataset(dataset)
         assert np.array_equal(g.labels, orig.labels)
         assert g.m == orig.m
+
+    def test_negative_seed_rejected_before_any_read(self, tmp_path, capsys):
+        # the dataset does not exist, so the error shows the flag was checked first
+        rc = main(["rewire", "--data", str(tmp_path / "nope"), "--target-h", "0.7",
+                   "--seed", "-1", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "error: --seed: seeds must be non-negative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestTrain:
@@ -146,6 +160,13 @@ class TestTrain:
             outs[seed] = json.loads((out / "summary.json").read_text())
         assert outs[3]["seed"] == 3
         assert outs[0]["pi_hat"] != outs[3]["pi_hat"]
+
+    def test_negative_seed_rejected_before_any_read(self, tmp_path, capsys):
+        rc = main(["train", "--data", str(tmp_path / "nope"), "--seed", "-2",
+                   "--out", str(tmp_path / "r")])
+        assert rc == 1
+        assert "error: --seed: seeds must be non-negative, got -2" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_missing_dataset_exits_nonzero(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nope"),

@@ -244,6 +244,26 @@ class TestWorkspace:
         for k in grads_a:
             np.testing.assert_array_equal(grads_b[k], grads_a[k], err_msg=k)
 
+    def test_scores_after_a_step_match_a_fresh_workspace(self):
+        # the step leaves the ReLU mask written over pre1; the next forward
+        # on that workspace must not read it
+        g, op, pos, neg = self.problem(300)
+        state = init_classifier(g.features.shape[1], 16, seed=1)
+        work = Workspace(op, g.features, 16)
+        for _ in range(3):
+            backward_and_step(state, op, g.features, pos, neg, 0.05, work=work)
+            np.testing.assert_array_equal(forward(state, op, g.features, work=work),
+                                          forward(state, op, g.features, work=Workspace(op, g.features, 16)))
+
+    def test_repeated_gradients_on_one_workspace_are_identical(self):
+        g, op, pos, neg = self.problem(300)
+        state = init_classifier(g.features.shape[1], 16, seed=1)
+        work = Workspace(op, g.features, 16)
+        grad_a, loss_a = loss_gradients(state, op, g.features, pos, neg, work=work)
+        grad_b, loss_b = loss_gradients(state, op, g.features, pos, neg, work=work)
+        assert loss_a == loss_b
+        np.testing.assert_array_equal(grad_b, grad_a)
+
     def test_workspace_for_another_fit_rejected(self):
         g, op, pos, neg = self.problem(60)
         state = init_classifier(g.features.shape[1], 4, seed=0)
@@ -320,8 +340,8 @@ class TestAgainstTextbookStep:
         np.testing.assert_array_equal(forward(state, op, g.features), ref_z)
         for k in ("W2", "b2"):
             np.testing.assert_array_equal(grads[k], ref[k], err_msg=k)
-        # W1 and b1 come from one product over [xs | 1]; how BLAS splits its
-        # n-long reduction depends on the BLAS build, so only a bound holds
+        # W1 and b1 come from ([xs | 1].T * dq) @ relu, scaled by W2 after
+        # the n-long sums and not inside them, so only a bound holds
         for k in ("W1", "b1"):
             assert np.abs(grads[k] - ref[k]).max() <= 1e-13 * np.abs(ref[k]).max(), k
 
