@@ -8,15 +8,11 @@ DIR is an unpacked copy of the commit to compare against (for example from
 
 - Per-step time: the best of 5 x 300 `backward_and_step` calls on one
   workspace, planted graph at h=0.7, hidden 16, at n = 1000/4000/16000,
-  with one BLAS thread. One process per tree and pair.
+  with one BLAS thread. Each tree runs in its own process.
 - End to end: `perfbench/run.py` on every workload at its default
-  --seconds, one process per run.
-
-Both parts run in 10 alternating pairs (parent first in even pairs, change
-first in odd ones): one run per tree cannot tell a 10% change from the
-machine's drift. For each step size and metric the file holds the per-pair
-values, the medians and quartiles of each side, and the pairs where the
-change came out lower.
+  --seconds, in 10 alternating pairs (parent first in even pairs, change
+  first in odd ones), one process per run. For each metric the file holds the per-pair values, the medians and
+  quartiles of each side, and the pairs where the change came out lower.
 
 Both trees run on the same machine, one process at a time. The report goes
 to BENCH_classifier_step.json at the root of this tree.
@@ -72,16 +68,6 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def compare(parent: list[float], change: list[float]) -> dict:
-    return {"parent": summary(parent), "change": summary(change),
-            "change_lower_in_pairs": sum(c < p for p, c in zip(parent, change))}
-
-
-def pair_order(i: int) -> tuple:
-    """Parent first in even pairs, change first in odd ones."""
-    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="unpacked copy of the commit to compare against")
@@ -89,17 +75,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     trees = {"parent": os.path.abspath(args.parent), "change": ROOT}
 
-    steps = {side: [] for side in trees}
-    for i in range(PAIRS):
-        for side in pair_order(i):
-            steps[side].append(json.loads(run_tree(trees[side], os.path.abspath(__file__), "--step-times")[-1]))
-        print(f"step pair {i}: n={STEP_SIZES[-1]} {steps['parent'][-1][str(STEP_SIZES[-1])]:.0f} -> "
-              f"{steps['change'][-1][str(STEP_SIZES[-1])]:.0f} us", file=sys.stderr)
+    steps = {side: json.loads(run_tree(tree, os.path.abspath(__file__), "--step-times")[-1])
+             for side, tree in trees.items()}
     env, e2e = {}, {}
     for w in WORKLOADS:
         runs = {side: {m: [] for m in METRICS} for side in trees}
         for i in range(PAIRS):
-            for side in pair_order(i):
+            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                 lines = run_tree(trees[side], "perfbench/run.py", "--workload", w,
                                  "--seed", str(args.seed))
                 env.setdefault(side, next(ln for ln in lines if ln.startswith("env ")))
@@ -110,15 +92,15 @@ def main(argv=None) -> int:
                     runs[side][m].append(result["metrics"][m]["value"])
             print(f"{w} pair {i}: wall_s {runs['parent']['wall_s'][-1]:.4f} -> "
                   f"{runs['change']['wall_s'][-1]:.4f}", file=sys.stderr)
-        e2e[w] = {m: compare(runs["parent"][m], runs["change"][m]) for m in METRICS}
+        e2e[w] = {m: {"parent": summary(runs["parent"][m]), "change": summary(runs["change"][m]),
+                      "change_lower_in_pairs": sum(c < p for p, c in zip(runs["parent"][m], runs["change"][m]))}
+                  for m in METRICS}
 
     report = {
         "what": "one classifier Adam step (gnn.backward_and_step), parent vs change",
         "env": env,
         "seed": args.seed, "pairs": PAIRS,
-        "step_us": {"best_of": "5 x 300 calls",
-                    **{str(n): compare([r[str(n)] for r in steps["parent"]], [r[str(n)] for r in steps["change"]])
-                       for n in STEP_SIZES}},
+        "step_us": {"sizes": list(STEP_SIZES), "best_of": "5 x 300 calls", **steps},
         "end_to_end": e2e,
     }
     with open(OUT, "w", encoding="utf-8") as f:

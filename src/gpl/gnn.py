@@ -54,8 +54,8 @@ class Workspace:
     the first aggregation with a ones row, held contiguous as (D+1) x n (the
     forward multiplies its .T view by [W1; b1], so the bias comes with the
     product); opT = op.T, a view sharing op's arrays, for the outer adjoint;
-    and scratch arrays xd ((D+1) x n), pre1 and h1 (n x hidden), which
-    every call writes before it reads.
+    and n x hidden scratch arrays pre1 and h1, which every call writes
+    before it reads.
 
     Sharing a workspace leaves every result bit for bit the same. Against
     the textbook step (xs @ W1 + b1, a column sum for the b1 gradient) so do
@@ -68,7 +68,6 @@ class Workspace:
         self.opT = op.T
         n = op.shape[0]
         self.xs1T = np.vstack([(op @ X).T, np.ones(n)])
-        self.xd = np.empty_like(self.xs1T)
         self.pre1 = np.empty((n, hidden))
         self.h1 = np.empty((n, hidden))
 
@@ -125,7 +124,8 @@ def loss_gradients(state: ClassifierState, op, X, positives, negatives, *, work:
     with grad laid out like state.theta.
 
     W2 comes out of the first layer's n-long sums: with dq the outer adjoint
-    and M = 1[pre1 > 0] written over pre1, grad[W1; b1] = ((xs1T * dq) @ M) * W2.T.
+    and M = 1[pre1 > 0], grad[W1; b1] = (xs1T @ (M * dq)) * W2.T, with M * dq
+    written over pre1: n x hidden work per step whatever the feature width.
 
     The operator is treated as a constant: no gradient flows to the edge
     mask from the classification loss. `work` is as in forward.
@@ -146,9 +146,9 @@ def loss_gradients(state: ClassifierState, op, X, positives, negatives, *, work:
     dpre2 = dz * z * (1.0 - z)
 
     dq = work.opT @ dpre2  # adjoint of the outer aggregation
-    relu = np.greater(work.pre1, 0.0, out=work.pre1)  # M as 0/1; pre1 is not read again
-    xd = np.multiply(work.xs1T, dq, out=work.xd)
-    grad = np.concatenate([((xd @ relu) * state.W2.T).ravel(), (work.h1.T @ dq[:, None]).ravel(), [dpre2.sum()]])
+    dqM = np.greater(work.pre1, 0.0, out=work.pre1)  # M as 0/1; pre1 is not read again
+    dqM *= dq[:, None]
+    grad = np.concatenate([((work.xs1T @ dqM) * state.W2.T).ravel(), (work.h1.T @ dq[:, None]).ravel(), [dpre2.sum()]])
     return grad, loss
 
 

@@ -245,7 +245,7 @@ class TestWorkspace:
             np.testing.assert_array_equal(grads_b[k], grads_a[k], err_msg=k)
 
     def test_scores_after_a_step_match_a_fresh_workspace(self):
-        # the step leaves the ReLU mask written over pre1; the next forward
+        # the step leaves relu * dq written over pre1; the next forward
         # on that workspace must not read it
         g, op, pos, neg = self.problem(300)
         state = init_classifier(g.features.shape[1], 16, seed=1)
@@ -340,7 +340,7 @@ class TestAgainstTextbookStep:
         np.testing.assert_array_equal(forward(state, op, g.features), ref_z)
         for k in ("W2", "b2"):
             np.testing.assert_array_equal(grads[k], ref[k], err_msg=k)
-        # W1 and b1 come from ([xs | 1].T * dq) @ relu, scaled by W2 after
+        # W1 and b1 come from [xs | 1].T @ (relu * dq), scaled by W2 after
         # the n-long sums and not inside them, so only a bound holds
         for k in ("W1", "b1"):
             assert np.abs(grads[k] - ref[k]).max() <= 1e-13 * np.abs(ref[k]).max(), k
