@@ -51,7 +51,7 @@ def step_times() -> dict:
         work = Workspace(op, g.features, 16)
         state = init_classifier(g.features.shape[1], 16, seed=0)
         times = timeit.repeat(
-            lambda: backward_and_step(state, op, g.features, split.P, split.U, 0.01, work=work),
+            lambda: backward_and_step(state, work, split.P, split.U, 0.01),
             number=300, repeat=5)
         out[str(n)] = 1e6 * min(times) / 300
     return out

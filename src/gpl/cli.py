@@ -138,6 +138,8 @@ def cmd_estimate_prior(args) -> int:
                     if not 0.0 <= v <= 1.0:
                         raise PriorEstimationError(f"{path}:{ln}: score {v!r} outside [0, 1]")
                 scores += vals
+        if not scores:
+            raise PriorEstimationError(f"{path}: no scores in file")
         return scores
 
     est = estimate_prior(
@@ -265,7 +267,6 @@ def _add_planted_args(p):
     p.add_argument("--avg-degree", dest="avg_degree", type=float, default=10.0)
     p.add_argument("--feature-dim", dest="feature_dim", type=int, default=8)
     p.add_argument("--mu", type=float, default=2.0, help="class-mean feature offset")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,6 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a planted dataset directory")
     _add_planted_args(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--h", type=str, default="0.3", help="heterophily target(s), comma-separated")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_synth)
@@ -304,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve-out", dest="curve_out", default=None)
     p.set_defaults(fn=cmd_estimate_prior)
 
-    p = sub.add_parser("sweep", help="grid of runs over h, rp, or k_prop")
+    # no abbreviations, so --seed is not read as --seeds
+    p = sub.add_parser("sweep", help="grid of runs over h, rp, or k_prop", allow_abbrev=False)
     _add_planted_args(p)
     p.add_argument("--var", choices=("h", "rp", "k_prop"), required=True)
     p.add_argument("--values", required=True, help="comma-separated sweep values")

@@ -49,13 +49,13 @@ def init_classifier(d_in: int, hidden: int, seed: int) -> ClassifierState:
 
 
 class Workspace:
-    """Buffers for forward and loss_gradients on one operator and feature
-    matrix, built once per fit and passed as `work=`: xs1T = [op @ X | 1].T,
-    the first aggregation with a ones row, held contiguous as (D+1) x n (the
-    forward multiplies its .T view by [W1; b1], so the bias comes with the
-    product); opT = op.T, a view sharing op's arrays, for the outer adjoint;
-    and n x hidden scratch arrays pre1 and h1, which every call writes
-    before it reads.
+    """Everything a classifier step reads besides the parameters, for one
+    operator `op`, feature matrix `X` and hidden size, built once per fit:
+    xs1T = [op @ X | 1].T, the first aggregation with a ones row, held
+    contiguous as (D+1) x n (scores multiplies its .T view by [W1; b1], so
+    the bias comes with the product); opT = op.T, a view sharing op's
+    arrays, for the outer adjoint; and n x hidden scratch arrays pre1 and
+    h1, which every call writes before it reads.
 
     Sharing a workspace leaves every result bit for bit the same. Against
     the textbook step (xs @ W1 + b1, a column sum for the b1 gradient) so do
@@ -72,30 +72,25 @@ class Workspace:
         self.h1 = np.empty((n, hidden))
 
 
-def _workspace(state: ClassifierState, op, X, work):
+def scores(state: ClassifierState, work: Workspace) -> np.ndarray:
+    """Per-node positive posterior z = sigmoid(S relu(S X W1 + b1) W2 + b2)
+    on work's operator S and features X. The state's feature width and
+    hidden size must match the workspace's."""
     d_in, hidden = state.W1.shape
-    if X.shape[1] != d_in:
-        raise ClassifierError(f"W1 has {d_in} rows but X has {X.shape[1]} feature columns")
-    if work is None:
-        return Workspace(op, X, hidden)
-    if work.op is not op or work.X is not X or work.pre1.shape[1] != hidden:
-        raise ClassifierError("workspace was built for another operator, feature matrix or hidden size")
-    return work
-
-
-def _forward_cache(state: ClassifierState, work: Workspace):
+    if work.X.shape[1] != d_in:
+        raise ClassifierError(f"W1 has {d_in} rows but X has {work.X.shape[1]} feature columns")
+    if work.pre1.shape[1] != hidden:
+        raise ClassifierError(f"W1 has {hidden} columns but the workspace holds {work.pre1.shape[1]} hidden units")
     np.matmul(work.xs1T.T, state.W1b1, out=work.pre1)
     np.maximum(work.pre1, 0.0, out=work.h1)
     pre2 = (work.op @ (work.h1 @ state.W2)).ravel() + state.b2[0]
     return expit(pre2)
 
 
-def forward(state: ClassifierState, op, X, *, work: Workspace | None = None) -> np.ndarray:
-    """Per-node positive posterior z = sigmoid(S relu(S X W1 + b1) W2 + b2).
-
-    `work` is a Workspace for (op, X) to reuse; None builds a throwaway one.
-    """
-    return _forward_cache(state, _workspace(state, op, X, work))
+def forward(state: ClassifierState, op, X) -> np.ndarray:
+    """scores(state, work) on a Workspace of (op, X) built for this one
+    call; a fit that scores more than once holds its own workspace."""
+    return scores(state, Workspace(op, X, state.W1.shape[1]))
 
 
 def _pu_loss(z_pos: np.ndarray, z_neg: np.ndarray) -> float:
@@ -119,20 +114,19 @@ def pu_loss(z: np.ndarray, positives, negatives) -> float:
     return _pu_loss(z[_node_ids(positives)], z[_node_ids(negatives)])
 
 
-def loss_gradients(state: ClassifierState, op, X, positives, negatives, *, work: Workspace | None = None):
-    """Exact gradient of pu_loss in every parameter. Returns (grad, loss),
-    with grad laid out like state.theta.
+def loss_gradients(state: ClassifierState, work: Workspace, positives, negatives):
+    """Exact gradient of pu_loss on scores(state, work) in every parameter.
+    Returns (grad, loss), with grad laid out like state.theta.
 
     W2 comes out of the first layer's n-long sums: with dq the outer adjoint
     and M = 1[pre1 > 0], grad[W1; b1] = (xs1T @ (M * dq)) * W2.T, with M * dq
     written over pre1: n x hidden work per step whatever the feature width.
 
     The operator is treated as a constant: no gradient flows to the edge
-    mask from the classification loss. `work` is as in forward.
+    mask from the classification loss.
     """
-    work = _workspace(state, op, X, work)
     pos, neg = _node_ids(positives), _node_ids(negatives)
-    z = _forward_cache(state, work)
+    z = scores(state, work)
     z_pos, z_neg = z[pos], z[neg]
     loss = _pu_loss(z_pos, z_neg)
     if not np.isfinite(loss):
@@ -152,16 +146,15 @@ def loss_gradients(state: ClassifierState, op, X, positives, negatives, *, work:
     return grad, loss
 
 
-def backward_and_step(
-    state: ClassifierState, op, X, positives, negatives, lr: float, *, work: Workspace | None = None
-):
-    """One exact-gradient Adam step on pu_loss. Returns (state, loss).
+def backward_and_step(state: ClassifierState, work: Workspace, positives, negatives, lr: float):
+    """One exact-gradient Adam step on pu_loss over work's operator and
+    features. Returns (state, loss), the loss taken before the step.
 
-    lr=0 leaves the parameters unchanged. `work` is as in forward.
+    lr=0 leaves the parameters unchanged.
     """
     if lr < 0:
         raise ClassifierError("lr must be >= 0")
-    grad, loss = loss_gradients(state, op, X, positives, negatives, work=work)
+    grad, loss = loss_gradients(state, work, positives, negatives)
     state.t += 1
     state.adam_m = ADAM_B1 * state.adam_m + (1 - ADAM_B1) * grad
     state.adam_v = ADAM_B2 * state.adam_v + (1 - ADAM_B2) * grad * grad

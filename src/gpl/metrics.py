@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logit
 
-from .gnn import forward, init_classifier, loss_gradients, pu_loss
+from .gnn import Workspace, forward, init_classifier, loss_gradients, pu_loss
 from .graph import (EdgeMask, SparseGraph, _edge_weights, _node_ids, build_graph, gcn_operator,
                     propagation_operator)
 from .propagation import PropagationConfig, _anchor_beliefs, lpl_gradient, lpl_loss, propagate
@@ -244,7 +244,7 @@ def check_clf_gradient_suite() -> CheckResult:
         nodes = rng.permutation(n)
         k = int(rng.integers(1, n))
         pos, neg = nodes[:k], nodes[k:]
-        grad, _ = loss_gradients(state, op, X, pos, neg)
+        grad, _ = loss_gradients(state, Workspace(op, X, 3), pos, neg)
         return _rel_err(grad, fd_classifier_gradients(state, op, X, pos, neg))
 
     return _suite("clf_gradient_fd", 20, 2, 1e-4, measure)

@@ -108,18 +108,22 @@ def binarize_labels(multi_labels) -> np.ndarray:
 
 
 def make_pu_split(g: SparseGraph, r_p: float, seed: int = 0) -> PUSplit:
-    """Observe a uniformly random r_p fraction of the true positives.
+    """Observe a uniformly random r_p fraction of the true positives,
+    rounded half up.
 
     Everything else (hidden positives plus all negatives) is unlabeled;
-    pi_true = hidden positives / |U|.
+    pi_true = hidden positives / |U|. A split that observes no positive,
+    also on a graph that has none, or leaves U empty is an error.
     """
     if not 0.0 < r_p <= 1.0:
         raise DatasetError("r_p must lie in (0, 1]")
     pos = np.flatnonzero(g.labels == 1)
-    if pos.size == 0:
-        raise DatasetError("graph has no positive nodes")
-    rng = np.random.default_rng(seed)
     k = int(np.floor(r_p * pos.size + 0.5))
+    if k == 0:
+        raise DatasetError(f"r_p={r_p:g} observes 0 of {pos.size} positives")
+    if k == g.n:
+        raise DatasetError(f"r_p={r_p:g} observes all {pos.size} positives and every node is one, so U is empty")
+    rng = np.random.default_rng(seed)
     chosen = np.sort(rng.choice(pos, size=k, replace=False))
     u = np.setdiff1d(np.arange(g.n), chosen)
     hidden = pos.size - k

@@ -13,10 +13,10 @@ from .cpe import estimate_prior
 from .gnn import (
     Workspace,
     backward_and_step,
-    forward,
     init_classifier,
     predict_labels,
     pu_loss,
+    scores,
     select_top,
 )
 from .graph import SparseGraph, _node_ids, gcn_operator, init_mask, propagation_operator
@@ -111,10 +111,9 @@ def _fit(cfg: TrainConfig, work: Workspace, positives, negatives, steps, state=N
     if state is None:
         state = init_classifier(work.X.shape[1], hidden=cfg.hidden, seed=cfg.seed)
     positives, negatives = _node_ids(positives), _node_ids(negatives)
-    op, X = work.op, work.X
     for _ in range(steps):
-        state, loss = backward_and_step(state, op, X, positives, negatives, cfg.lr_clf, work=work)
-    z = forward(state, op, X, work=work)
+        state, loss = backward_and_step(state, work, positives, negatives, cfg.lr_clf)
+    z = scores(state, work)
     if steps == 0:
         loss = pu_loss(z, positives, negatives)
     return state, loss, z

@@ -325,6 +325,16 @@ class TestEstimatePrior:
         assert rc == 1
         assert f"error: {unl}:2: score {float(bad)!r} outside [0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--pos", "--unlabeled"])
+    def test_empty_score_file_names_the_file(self, tmp_path, capsys, flag):
+        pos, unl = self.write_scores(tmp_path, np.random.default_rng(0))
+        empty = tmp_path / "empty.txt"
+        empty.write_text("\n")
+        files = {"--pos": pos, "--unlabeled": unl, flag: str(empty)}
+        rc = main(["estimate-prior", *(t for kv in files.items() for t in kv)])
+        assert rc == 1
+        assert f"error: {empty}: no scores in file" in capsys.readouterr().err
+
     def test_bad_score_file(self, tmp_path, capsys):
         pos = tmp_path / "pos.txt"
         pos.write_text("0.5 2.5")
@@ -443,6 +453,15 @@ class TestSweep:
         assert bad in capsys.readouterr().err
         assert built == []  # rejected before any job ran
         assert not out.exists()
+
+    def test_seed_flag_rejected(self, tmp_path, cfg_file, capsys):
+        # planted graphs take their seeds from --seeds; --seed belongs to synth
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--var", "h", "--values", "0.3,0.5", "--seeds", "0",
+                  "--seed", "5", "--config", cfg_file, "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_k_prop_sweep_runs_the_integer_values(self, tmp_path, cfg_file):
         out = tmp_path / "sw"

@@ -19,6 +19,7 @@ from gpl.gnn import (
     predict_labels,
     pu_loss,
     save_checkpoint,
+    scores,
     select_top,
 )
 from gpl.graph import build_graph, gcn_operator
@@ -174,7 +175,7 @@ class TestBackward:
         state = init_classifier(3, 3, seed=1)
         before = {k: v.copy() for k, v in state.params().items()}
         op = gcn_operator(g, None)
-        state, loss = backward_and_step(state, op, g.features, [0, 1], [4, 5], 0.0)
+        state, loss = backward_and_step(state, Workspace(op, g.features, 3), [0, 1], [4, 5], 0.0)
         for k, v in state.params().items():
             np.testing.assert_array_equal(v, before[k])
         assert np.isfinite(loss)
@@ -186,7 +187,7 @@ class TestBackward:
             state = init_classifier(3, 3, seed=trial)
             op = gcn_operator(g, None)
             pos, neg = [0, 1], [4, 5]
-            grad, _ = loss_gradients(state, op, g.features, pos, neg)
+            grad, _ = loss_gradients(state, Workspace(op, g.features, 3), pos, neg)
             g_num = fd_classifier_gradients(state, op, g.features, pos, neg)
             big = np.abs(g_num) > 1e-8
             assert big.any()
@@ -200,19 +201,19 @@ class TestBackward:
         pos = np.flatnonzero(g.labels == 1)
         neg = np.flatnonzero(g.labels == -1)
         state = init_classifier(4, 8, seed=0)
-        op = gcn_operator(g, None)
+        work = Workspace(gcn_operator(g, None), g.features, 8)
         loss = None
         for _ in range(200):
-            state, loss = backward_and_step(state, op, g.features, pos, neg, 0.01)
+            state, loss = backward_and_step(state, work, pos, neg, 0.01)
         assert loss < 0.1
 
     def test_adam_steps_advance_counter(self):
         rng = np.random.default_rng(4)
         g = random_test_graph(rng, 5, 0.3)
         state = init_classifier(3, 3, seed=0)
-        op = gcn_operator(g, None)
-        state, _ = backward_and_step(state, op, g.features, [0], [4], 0.01)
-        state, _ = backward_and_step(state, op, g.features, [0], [4], 0.01)
+        work = Workspace(gcn_operator(g, None), g.features, 3)
+        state, _ = backward_and_step(state, work, [0], [4], 0.01)
+        state, _ = backward_and_step(state, work, [0], [4], 0.01)
         assert state.t == 2
 
 
@@ -230,51 +231,46 @@ class TestWorkspace:
         shared = init_classifier(g.features.shape[1], hidden, seed=2)
         work = Workspace(op, g.features, hidden)
         for _ in range(25):
-            fresh, loss_a = backward_and_step(fresh, op, g.features, pos, neg, 0.05)
-            shared, loss_b = backward_and_step(shared, op, g.features, pos, neg, 0.05, work=work)
+            fresh, loss_a = backward_and_step(fresh, Workspace(op, g.features, hidden), pos, neg, 0.05)
+            shared, loss_b = backward_and_step(shared, work, pos, neg, 0.05)
             assert loss_a == loss_b
         for k, p in fresh.params().items():
             np.testing.assert_array_equal(shared.params()[k], p, err_msg=k)
             np.testing.assert_array_equal(named(shared.adam_m, shared)[k], named(fresh.adam_m, fresh)[k])
             np.testing.assert_array_equal(named(shared.adam_v, shared)[k], named(fresh.adam_v, fresh)[k])
-        np.testing.assert_array_equal(forward(shared, op, g.features, work=work),
-                                      forward(fresh, op, g.features))
-        grads_a = named(loss_gradients(fresh, op, g.features, pos, neg)[0], fresh)
-        grads_b = named(loss_gradients(fresh, op, g.features, pos, neg, work=work)[0], fresh)
+        np.testing.assert_array_equal(scores(shared, work), forward(fresh, op, g.features))
+        grads_a = named(loss_gradients(fresh, Workspace(op, g.features, hidden), pos, neg)[0], fresh)
+        grads_b = named(loss_gradients(fresh, work, pos, neg)[0], fresh)
         for k in grads_a:
             np.testing.assert_array_equal(grads_b[k], grads_a[k], err_msg=k)
 
     def test_scores_after_a_step_match_a_fresh_workspace(self):
-        # the step leaves relu * dq written over pre1; the next forward
+        # the step leaves relu * dq written over pre1; the next scores
         # on that workspace must not read it
         g, op, pos, neg = self.problem(300)
         state = init_classifier(g.features.shape[1], 16, seed=1)
         work = Workspace(op, g.features, 16)
         for _ in range(3):
-            backward_and_step(state, op, g.features, pos, neg, 0.05, work=work)
-            np.testing.assert_array_equal(forward(state, op, g.features, work=work),
-                                          forward(state, op, g.features, work=Workspace(op, g.features, 16)))
+            backward_and_step(state, work, pos, neg, 0.05)
+            np.testing.assert_array_equal(scores(state, work), scores(state, Workspace(op, g.features, 16)))
 
     def test_repeated_gradients_on_one_workspace_are_identical(self):
         g, op, pos, neg = self.problem(300)
         state = init_classifier(g.features.shape[1], 16, seed=1)
         work = Workspace(op, g.features, 16)
-        grad_a, loss_a = loss_gradients(state, op, g.features, pos, neg, work=work)
-        grad_b, loss_b = loss_gradients(state, op, g.features, pos, neg, work=work)
+        grad_a, loss_a = loss_gradients(state, work, pos, neg)
+        grad_b, loss_b = loss_gradients(state, work, pos, neg)
         assert loss_a == loss_b
         np.testing.assert_array_equal(grad_b, grad_a)
 
     def test_workspace_for_another_fit_rejected(self):
         g, op, pos, neg = self.problem(60)
         state = init_classifier(g.features.shape[1], 4, seed=0)
-        other_op = gcn_operator(g, None)  # equal values, another object
-        for work in (Workspace(other_op, g.features, 4),
-                     Workspace(op, g.features.copy(), 4),
-                     Workspace(op, g.features, 5)):
-            with pytest.raises(ClassifierError, match="workspace"):
-                backward_and_step(state, op, g.features, pos, neg, 0.01, work=work)
-            with pytest.raises(ClassifierError, match="workspace"):
-                forward(state, op, g.features, work=work)
+        work = Workspace(op, g.features, 5)
+        with pytest.raises(ClassifierError, match="4 columns but the workspace holds 5 hidden units"):
+            backward_and_step(state, work, pos, neg, 0.01)
+        with pytest.raises(ClassifierError, match="workspace"):
+            scores(state, work)
 
     def test_feature_width_mismatch_names_both_widths(self):
         rng = np.random.default_rng(0)
@@ -284,19 +280,19 @@ class TestWorkspace:
         with pytest.raises(ClassifierError, match="W1 has 5 rows but X has 3 feature columns"):
             forward(state, op, g.features)
         with pytest.raises(ClassifierError, match="5 rows.*3 feature columns"):
-            loss_gradients(state, op, g.features, [0], [1])
+            loss_gradients(state, Workspace(op, g.features, 4), [0], [1])
         with pytest.raises(ClassifierError, match="5 rows.*3 feature columns"):
-            backward_and_step(state, op, g.features, [0], [1], 0.01, work=Workspace(op, g.features, 4))
+            backward_and_step(state, Workspace(op, g.features, 4), [0], [1], 0.01)
 
     def test_step_on_a_shared_workspace_allocates_less_than_one_hidden_layer(self):
         n, hidden = 4000, 16
         g, op, pos, neg = self.problem(n)
         state = init_classifier(g.features.shape[1], hidden, seed=0)
         work = Workspace(op, g.features, hidden)
-        backward_and_step(state, op, g.features, pos, neg, 0.01, work=work)
+        backward_and_step(state, work, pos, neg, 0.01)
         tracemalloc.start()
         try:
-            backward_and_step(state, op, g.features, pos, neg, 0.01, work=work)
+            backward_and_step(state, work, pos, neg, 0.01)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -334,7 +330,7 @@ class TestAgainstTextbookStep:
         for p in state.params().values():  # move off the init so both relu sides occur
             p += 0.3 * rng.normal(size=p.shape)
         ref, ref_loss, ref_z = textbook_step(state, op, g.features, split.P, split.U)
-        grad, loss = loss_gradients(state, op, g.features, split.P, split.U)
+        grad, loss = loss_gradients(state, Workspace(op, g.features, 16), split.P, split.U)
         grads = named(grad, state)
         assert loss == ref_loss
         np.testing.assert_array_equal(forward(state, op, g.features), ref_z)
@@ -352,7 +348,7 @@ class TestAgainstTextbookStep:
         # whole vector must give the same bits
         g = generate_planted(PlantedConfig(n=300, h=0.7, avg_degree=10, seed=1))
         split = make_pu_split(g, 0.5, seed=1)
-        op = gcn_operator(g, None)
+        work = Workspace(gcn_operator(g, None), g.features, 16)
         d_in = g.features.shape[1]
         state = init_classifier(d_in, 16, seed=3)
         probe = init_classifier(d_in, 16, seed=3)  # gradients at the reference parameters
@@ -361,7 +357,7 @@ class TestAgainstTextbookStep:
         v = {k: np.zeros_like(p) for k, p in params.items()}
         for t in range(1, 26):
             probe.theta[:] = np.concatenate([p.ravel() for p in params.values()])
-            grads = named(loss_gradients(probe, op, g.features, split.P, split.U)[0], probe)
+            grads = named(loss_gradients(probe, work, split.P, split.U)[0], probe)
             for k, p in params.items():
                 gk = grads[k]
                 m[k] = ADAM_B1 * m[k] + (1 - ADAM_B1) * gk
@@ -369,7 +365,7 @@ class TestAgainstTextbookStep:
                 mhat = m[k] / (1 - ADAM_B1**t)
                 vhat = v[k] / (1 - ADAM_B2**t)
                 p -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-            state, _ = backward_and_step(state, op, g.features, split.P, split.U, lr)
+            state, _ = backward_and_step(state, work, split.P, split.U, lr)
         assert state.t == 25
         assert not np.array_equal(state.theta, init_classifier(d_in, 16, seed=3).theta)
         for vec, blocks in ((state.theta, params), (state.adam_m, m), (state.adam_v, v)):
@@ -405,9 +401,9 @@ class TestCheckpoint:
         rng = np.random.default_rng(0)
         g = random_test_graph(rng, 6, 0.3)
         state = init_classifier(3, 4, seed=3)
-        op = gcn_operator(g, None)
+        work = Workspace(gcn_operator(g, None), g.features, 4)
         for _ in range(3):
-            state, _ = backward_and_step(state, op, g.features, [0, 1], [4, 5], 0.01)
+            state, _ = backward_and_step(state, work, [0, 1], [4, 5], 0.01)
         path = tmp_path / "model.ckpt"
         save_checkpoint(state, path)
         blocks = read_checkpoint(path)

@@ -1,6 +1,7 @@
-"""Smoke runs of the figure scripts at tiny sizes: each run(args) exits 0 and
-writes its CSVs. bench_classifier_step.py is left out: it runs the benchmark
-in pairs."""
+"""Smoke runs of the scripts at tiny sizes: each figure script's run(args)
+exits 0 and writes its CSVs, and bench_classifier_step.py's step timer
+returns one time per size. That script's paired benchmark runs are left
+out: they take minutes."""
 
 import csv
 import importlib.util
@@ -23,14 +24,28 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_script_writes_its_csvs(name, tmp_path):
+def load(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_script_writes_its_csvs(name, tmp_path):
+    module = load(name)
     kwargs, files = CASES[name]
     assert module.run(SimpleNamespace(out=str(tmp_path), **kwargs)) == 0
     for rel in files:
         with open(tmp_path / rel, newline="") as f:
             rows = list(csv.reader(f))
         assert len(rows) > 1 and all(len(r) == len(rows[0]) for r in rows), rel
+
+
+def test_bench_step_timer_times_each_size(monkeypatch):
+    # the script sets OPENBLAS_NUM_THREADS on import; monkeypatch restores it
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    module = load("bench_classifier_step")
+    monkeypatch.setattr(module, "STEP_SIZES", (200,))
+    times = module.step_times()
+    assert list(times) == ["200"] and times["200"] > 0

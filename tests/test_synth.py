@@ -166,6 +166,17 @@ class TestMakePuSplit:
         with pytest.raises(DatasetError, match="positive"):
             make_pu_split(g, 0.5, seed=0)
 
+    def test_no_observed_positive_names_rp_and_count(self):
+        g = generate_planted(PlantedConfig(n=60, h=0.3, seed=0))  # 15 positives
+        with pytest.raises(DatasetError, match=r"r_p=0\.01 observes 0 of 15 positives"):
+            make_pu_split(g, 0.01, seed=0)
+
+    def test_empty_unlabeled_set_names_rp_and_count(self):
+        from gpl.graph import build_graph
+        g = build_graph(3, [(0, 1)], np.zeros((3, 2)), np.array([1, 1, 1]))
+        with pytest.raises(DatasetError, match=r"r_p=1 observes all 3 positives.*U is empty"):
+            make_pu_split(g, 1.0, seed=0)
+
 
 class TestDatasetIO:
     def test_roundtrip_identity(self, two_blocks, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gpl.trainer
-from gpl.gnn import backward_and_step, init_classifier
+from gpl.gnn import Workspace, backward_and_step, init_classifier
 from gpl.graph import build_graph, gcn_operator, init_mask
 from gpl.synth import PlantedConfig, PUSplit, generate_planted, make_pu_split
 from gpl.trainer import (
@@ -107,13 +107,13 @@ class TestScoring:
     @pytest.mark.parametrize("steps", [0, 4])
     def test_one_forward_per_fit(self, monkeypatch, steps):
         calls = []
-        real = gpl.trainer.forward
+        real = gpl.trainer.scores
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(gpl.trainer, "forward", counted)
+        monkeypatch.setattr(gpl.trainer, "scores", counted)
         g, split = small_problem(0.7)
         cfg = TrainConfig(outer_epochs=2, k_inner=2, clf_steps_per_epoch=steps,
                           warmup_steps=3)
@@ -230,13 +230,12 @@ class TestBaseline:
         cfg = TrainConfig(outer_epochs=2, clf_steps_per_epoch=15,
                           warmup_steps=10, lr_clf=0.05)
         clf, trace = run_baseline(g, split, cfg)
-        op = gcn_operator(g, None)
+        work = Workspace(gcn_operator(g, None), g.features, cfg.hidden)
         ref = init_classifier(g.features.shape[1], hidden=cfg.hidden,
                               seed=cfg.seed)
         losses = []
         for _ in range(10 + 2 * 15):
-            ref, loss = backward_and_step(ref, op, g.features, split.P,
-                                          split.U, cfg.lr_clf)
+            ref, loss = backward_and_step(ref, work, split.P, split.U, cfg.lr_clf)
             losses.append(loss)
         assert clf.t == ref.t == 40
         for k, p in ref.params().items():
