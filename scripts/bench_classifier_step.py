@@ -8,7 +8,9 @@ DIR is an unpacked copy of the commit to compare against (for example from
 
 - Per-step time: the best of 5 x 300 `backward_and_step` calls on one
   workspace, planted graph at h=0.7, hidden 16, at n = 1000/4000/16000,
-  with one BLAS thread. Each tree runs in its own process.
+  with one BLAS thread. Each tree runs its own copy of this script with
+  --step-times, in its own process, so each is timed with the step
+  signature of its own package.
 - End to end: `perfbench/run.py` on every workload at its default
   --seconds, in 10 alternating pairs (parent first in even pairs, change
   first in odd ones), one process per run. For each metric the file holds the per-pair values, the medians and
@@ -75,7 +77,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     trees = {"parent": os.path.abspath(args.parent), "change": ROOT}
 
-    steps = {side: json.loads(run_tree(tree, os.path.abspath(__file__), "--step-times")[-1])
+    steps = {side: json.loads(run_tree(tree, "scripts/bench_classifier_step.py", "--step-times")[-1])
              for side, tree in trees.items()}
     env, e2e = {}, {}
     for w in WORKLOADS:

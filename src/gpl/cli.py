@@ -202,14 +202,17 @@ def cmd_sweep(args) -> int:
     methods = ["gpl", "baseline"] if args.method == "both" else [args.method]
     base_cfg = _load_train_config(args)
 
+    # every graph and split is built (and checked) before any job trains;
+    # jobs only read them, so the methods of one point share its graph
+    grid = {}
+    for v in values:
+        for s in seeds:
+            g = generate_planted(replace(planted, h=v if args.var == "h" else args.h, seed=s))
+            cfg = replace(base_cfg, seed=s, **({"k_prop": v} if args.var == "k_prop" else {}))
+            grid[(v, s)] = g, make_pu_split(g, v if args.var == "rp" else args.rp, seed=s), cfg
+
     def job(value, seed, method):
-        g = generate_planted(replace(planted, h=value if args.var == "h" else args.h, seed=seed))
-        rp = value if args.var == "rp" else args.rp
-        cfg = replace(base_cfg, seed=seed)
-        if args.var == "k_prop":
-            cfg = replace(cfg, k_prop=value)
-        split = make_pu_split(g, rp, seed=seed)
-        return _run_one(g, split, cfg, method)[0]
+        return _run_one(*grid[(value, seed)], method)[0]
 
     jobs = [(v, s, m) for v in values for s in seeds for m in methods]
     workers = max(1, int(os.environ.get("GPL_THREADS", "1")))

@@ -51,6 +51,8 @@ def estimate_prior(scores_p, scores_u, q_floor: float | None = None) -> PriorEst
     su = _as_scores(scores_u, "unlabeled")
     if q_floor is None:
         q_floor = max(10.0 / sp_.size, 0.05) if sp_.size >= 10 else 0.05
+    if not q_floor >= 0:  # NaN fails this too
+        raise PriorEstimationError(f"q_floor must be >= 0, got {q_floor}")
 
     cand = np.unique(np.concatenate([sp_, su, [0.0]]))
     q_u = _upper_tail(su, cand)

@@ -192,8 +192,10 @@ def _central_diff(f, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def fd_lpl_gradient(g, mask, e0, cfg, positives, negatives):
-    """Central-difference oracle for the mask gradient."""
+def fd_lpl_gradient(g, mask, cfg, positives, negatives):
+    """Central-difference oracle for the mask gradient, propagating from the
+    E_0 the anchor sets define, as optimize_mask does."""
+    e0 = _anchor_beliefs(g.n, positives, negatives)
     theta = mask.theta.copy()
 
     def loss():
@@ -221,7 +223,7 @@ def check_lpl_gradient_suite() -> CheckResult:
         states = []
         propagate(propagation_operator(g, mask), e0, cfg, states=states)
         grad = lpl_gradient(g, mask, states, cfg, pos, neg)
-        return _rel_err(grad, fd_lpl_gradient(g, mask, e0, cfg, pos, neg))
+        return _rel_err(grad, fd_lpl_gradient(g, mask, cfg, pos, neg))
 
     return _suite("lpl_gradient_fd", 20, 1, 1e-4, measure)
 

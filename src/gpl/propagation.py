@@ -40,25 +40,6 @@ def _anchor_beliefs(n: int, positives, negatives) -> np.ndarray:
     return e0
 
 
-def init_beliefs(split, *, positives=(), negatives=()) -> np.ndarray:
-    """Initial n x 2 class beliefs, rows [P(y=+1), P(y=-1)].
-
-    Observed positives and the identified `positives` get [1, 0], the
-    identified `negatives` get [0, 1], everything else the uniform row
-    [0.5, 0.5]. Identified ids must be unlabeled nodes, each in one set only.
-    """
-    n = len(split.P) + len(split.U)
-    pos, neg = _node_ids(positives), _node_ids(negatives)
-    ids = np.concatenate([pos, neg])
-    bad = ids[~np.isin(ids, split.U)]
-    if bad.size:
-        raise PropagationError(f"identified node {bad[0]} is not unlabeled")
-    both = np.intersect1d(pos, neg)
-    if both.size:
-        raise PropagationError(f"node {both[0]} identified as both positive and negative")
-    return _anchor_beliefs(n, np.concatenate([split.P, pos]), neg)
-
-
 def propagate(op: sp.csr_matrix, e0: np.ndarray, cfg: PropagationConfig, *, states=None) -> np.ndarray:
     """K applications of E <- alpha*E + (1-alpha) * op @ E.
 
@@ -129,7 +110,8 @@ def lpl_gradient(g: SparseGraph, mask: EdgeMask, states, cfg: PropagationConfig,
     result equals the two-column formula up to rounding, and requires the
     rows of E_0 = states[0] to sum to 1 within 1e-12.
 
-    A log clamped at its floor (belief <= eps) contributes zero slope.
+    A log clamped at its floor (belief <= eps) contributes zero slope. With
+    K = 0 or no edges the unroll adds nothing and the result is all zeros.
     """
     pos, neg = _check_anchor_sets(positives, negatives)
     K = cfg.k_prop
@@ -139,8 +121,6 @@ def lpl_gradient(g: SparseGraph, mask: EdgeMask, states, cfg: PropagationConfig,
     bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-12)
     if bad.size:
         raise PropagationError(f"belief row {bad[0]} sums to {float(sums[bad[0]])}, not 1")
-    if g.m == 0 or K == 0:
-        return np.zeros(g.m)
 
     w = mask.weights()
     i, j = g.edges[:, 0], g.edges[:, 1]
@@ -176,7 +156,6 @@ def lpl_gradient(g: SparseGraph, mask: EdgeMask, states, cfg: PropagationConfig,
 def optimize_mask(
     g: SparseGraph,
     mask: EdgeMask,
-    e0: np.ndarray,
     cfg: PropagationConfig,
     positives,
     negatives=(),
@@ -184,7 +163,9 @@ def optimize_mask(
     steps: int,
     lr: float,
 ) -> EdgeMask:
-    """Descent on the mask parameters with a backtracking line search.
+    """Descent on the mask parameters with a backtracking line search, on
+    lpl_loss of the beliefs propagated from E_0 = _anchor_beliefs(n,
+    positives, negatives): the anchor sets alone define the loss.
 
     The step direction is sign(grad), steepest descent under the max norm,
     so lr is the per-parameter move in raw (logit) units. Raw gradient
@@ -200,6 +181,7 @@ def optimize_mask(
     if lr < 0:
         raise PropagationError("lr must be >= 0")
     positives, negatives = _check_anchor_sets(positives, negatives)
+    e0 = _anchor_beliefs(g.n, positives, negatives)
     theta = mask.theta.copy()
 
     def loss_at(th, states):

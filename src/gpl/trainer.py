@@ -24,7 +24,7 @@ from .metrics import edge_weight_means, f1_score
 from .propagation import (
     PropagationConfig,
     PropagationError,
-    init_beliefs,
+    _anchor_beliefs,
     lpl_loss,
     optimize_mask,
     propagate,
@@ -169,19 +169,16 @@ def run_gpl(g: SparseGraph, split: PUSplit, cfg: TrainConfig):
 
     rows = []
     for epoch in range(1, cfg.outer_epochs + 1):
-        e0 = init_beliefs(split, positives=sel.s_set, negatives=sel.complement)
         pos_anchor = np.concatenate([split.P, sel.s_set])
         neg_anchor = sel.complement
 
         if cfg.k_inner > 0 and g.m > 0:
             mask = optimize_mask(
-                g, mask, e0, pcfg, pos_anchor, neg_anchor,
+                g, mask, pcfg, pos_anchor, neg_anchor,
                 steps=cfg.k_inner, lr=cfg.lr_mask,
             )
-        lpl = lpl_loss(
-            propagate(propagation_operator(g, mask), e0, pcfg),
-            pos_anchor, neg_anchor,
-        )
+        e0 = _anchor_beliefs(g.n, pos_anchor, neg_anchor)
+        lpl = lpl_loss(propagate(propagation_operator(g, mask), e0, pcfg), pos_anchor, neg_anchor)
         if not np.isfinite(lpl):
             raise TrainError(f"non-finite lpl_loss at epoch {epoch}")
 

@@ -335,6 +335,13 @@ class TestEstimatePrior:
         assert rc == 1
         assert f"error: {empty}: no scores in file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,shown", [("--q-floor=nan", "nan"), ("--q-floor=-1", "-1.0")])
+    def test_negative_or_nan_floor_rejected(self, tmp_path, capsys, flag, shown):
+        pos, unl = self.write_scores(tmp_path, np.random.default_rng(0))
+        rc = main(["estimate-prior", "--pos", pos, "--unlabeled", unl, flag])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: q_floor must be >= 0, got {shown}\n"
+
     def test_bad_score_file(self, tmp_path, capsys):
         pos = tmp_path / "pos.txt"
         pos.write_text("0.5 2.5")
@@ -453,6 +460,29 @@ class TestSweep:
         assert bad in capsys.readouterr().err
         assert built == []  # rejected before any job ran
         assert not out.exists()
+
+    def test_degenerate_rp_rejected_before_any_job(self, tmp_path, capsys, monkeypatch):
+        # 0.01 is in (0, 1] but observes none of the 10 positives at n=40
+        ran = []
+        monkeypatch.setattr(gpl.cli, "_run_one", lambda *a: ran.append(a))
+        rc = main(["sweep", "--var", "rp", "--values", "0.5,0.01", "--n", "40", "--seeds", "0,1",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "r_p=0.01 observes 0 of 10 positives" in capsys.readouterr().err
+        assert ran == []
+
+    def test_both_methods_of_a_point_share_its_graph_and_split(self, tmp_path, monkeypatch):
+        ran = []  # holds every graph and split, so no two share an id()
+        summary = dict.fromkeys(["f1", "pi_hat", "pi_true", "prior_error", "mean_weight_homo",
+                                 "mean_weight_hetero"], 0.0)
+        monkeypatch.setattr(gpl.cli, "_run_one", lambda *a: ran.append(a) or (summary,))
+        rc = main(["sweep", "--var", "h", "--values", "0.3,0.7", "--n", "40", "--seeds", "0,1",
+                   "--method", "both", "--out", str(tmp_path / "x")])
+        assert rc == 0
+        points = {}
+        for g, split, _cfg, method in ran:
+            points.setdefault((id(g), id(split)), []).append(method)
+        assert sorted(map(sorted, points.values())) == [["baseline", "gpl"]] * 4
 
     def test_seed_flag_rejected(self, tmp_path, cfg_file, capsys):
         # planted graphs take their seeds from --seeds; --seed belongs to synth

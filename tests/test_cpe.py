@@ -32,6 +32,12 @@ class TestEstimatePrior:
         with pytest.raises(PriorEstimationError, match="excluded"):
             estimate_prior([0.5, 0.6], [0.1], q_floor=1.5)
 
+    @pytest.mark.parametrize("q_floor", [float("nan"), -1.0, -1e-12])
+    def test_negative_or_nan_floor_rejected(self, q_floor):
+        # NaN would otherwise exclude every threshold and blame max Q_p
+        with pytest.raises(PriorEstimationError, match=f"q_floor must be >= 0, got {q_floor}"):
+            estimate_prior([0.5, 0.6], [0.1], q_floor=q_floor)
+
     def test_empty_scores_rejected(self):
         with pytest.raises(PriorEstimationError):
             estimate_prior([], [0.5])

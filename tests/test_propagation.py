@@ -3,63 +3,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpl.graph import EdgeMask, init_mask, propagation_operator
+from gpl.graph import EdgeMask, build_graph, init_mask, propagation_operator
 from gpl.metrics import fd_lpl_gradient, random_test_graph
 from gpl.propagation import (
     PropagationConfig,
     PropagationError,
-    init_beliefs,
+    _anchor_beliefs,
     lpl_gradient,
     lpl_loss,
     optimize_mask,
     propagate,
 )
-from gpl.synth import PlantedConfig, PUSplit, generate_planted, make_pu_split
-
-
-def split_of(n, P):
-    P = np.asarray(sorted(P), dtype=np.int64)
-    U = np.setdiff1d(np.arange(n), P)
-    return PUSplit(P=P, U=U, pi_true=0.0)
+from gpl.synth import PlantedConfig, generate_planted, make_pu_split
 
 
 class TestInitBeliefs:
+    """E_0, the initial beliefs the anchor sets define."""
+
     def test_positive_rows(self):
-        e0 = init_beliefs(split_of(3, [0]))
+        e0 = _anchor_beliefs(3, [0], [])
         np.testing.assert_allclose(e0, [[1, 0], [0.5, 0.5], [0.5, 0.5]])
 
     def test_identified_negative(self):
-        e0 = init_beliefs(split_of(3, [0]), negatives=[2])
+        e0 = _anchor_beliefs(3, [0], [2])
         np.testing.assert_allclose(e0, [[1, 0], [0.5, 0.5], [0, 1]])
 
     def test_all_unlabeled(self):
-        e0 = init_beliefs(split_of(3, []))
+        e0 = _anchor_beliefs(3, [], [])
         np.testing.assert_allclose(e0, np.full((3, 2), 0.5))
 
     def test_identified_positives_and_negatives(self):
-        e0 = init_beliefs(split_of(3, [0]), positives=np.array([1]), negatives=[2])
+        e0 = _anchor_beliefs(3, np.array([0, 1]), [2])
         np.testing.assert_allclose(e0, [[1, 0], [1, 0], [0, 1]])
-
-    def test_identified_must_be_unlabeled(self):
-        # observed positives and out-of-range ids alike
-        for ids in ({"negatives": [0]}, {"positives": [0]},
-                    {"negatives": [3]}, {"positives": [1, -1]}):
-            with pytest.raises(PropagationError, match="not unlabeled"):
-                init_beliefs(split_of(3, [0]), **ids)
-
-    def test_conflicting_signs_rejected(self):
-        with pytest.raises(PropagationError, match="node 1 identified as both"):
-            init_beliefs(split_of(3, [0]), positives=[1, 2], negatives=[1])
-
-    def test_positional_mapping_rejected(self):
-        # a {node: sign} mapping must not be read as a set of positives
-        with pytest.raises(TypeError):
-            init_beliefs(split_of(3, [0]), {2: -1})
 
 
 class TestPropagate:
     def test_zero_iterations(self, path3):
-        e0 = init_beliefs(split_of(3, [0]))
+        e0 = _anchor_beliefs(3, [0], [])
         op = propagation_operator(path3, None)
         out = propagate(op, e0, PropagationConfig(alpha=0.5, k_prop=0))
         np.testing.assert_array_equal(out, e0)
@@ -67,7 +47,7 @@ class TestPropagate:
     def test_retention_limit(self):
         rng = np.random.default_rng(0)
         g = random_test_graph(rng, 5, 0.3)
-        e0 = init_beliefs(split_of(5, [0, 2]))
+        e0 = _anchor_beliefs(5, [0, 2], [])
         op = propagation_operator(g, None)
         out = propagate(op, e0, PropagationConfig(alpha=0.999, k_prop=5))
         assert np.abs(out - e0).max() < 0.01
@@ -86,7 +66,7 @@ class TestPropagate:
             mask.theta[:] = rng.normal(size=g.m)
             op = propagation_operator(g, mask)
             cfg = PropagationConfig(alpha=0.3, k_prop=4)
-            e0 = init_beliefs(split_of(9, [0, 3]), negatives=[5])
+            e0 = _anchor_beliefs(9, [0, 3], [5])
             dense = op.toarray()
             E = e0.copy()
             for _ in range(cfg.k_prop):
@@ -101,7 +81,7 @@ class TestPropagate:
         g = random_test_graph(rng, int(rng.integers(2, 12)), 0.3)
         mask = init_mask(g)
         mask.theta[:] = rng.normal(size=g.m)
-        e0 = init_beliefs(split_of(g.n, [0]))
+        e0 = _anchor_beliefs(g.n, [0], [])
         out = propagate(propagation_operator(g, mask), e0,
                         PropagationConfig(alpha=alpha, k_prop=k))
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-10)
@@ -143,9 +123,12 @@ class TestLplLoss:
         assert lpl_loss(b, [0]) == pytest.approx(np.log(0.3))
 
 
-def gradient(g, mask, e0, cfg, pos, neg):
-    """lpl_gradient on the belief states propagate records from e0."""
+def gradient(g, mask, cfg, pos, neg, e0=None):
+    """lpl_gradient on the belief states propagate records from e0, by
+    default the E_0 the anchor sets define."""
     states = []
+    if e0 is None:
+        e0 = _anchor_beliefs(g.n, pos, neg)
     propagate(propagation_operator(g, mask), e0, cfg, states=states)
     return lpl_gradient(g, mask, states, cfg, pos, neg)
 
@@ -158,10 +141,8 @@ class TestLplGradient:
             g = random_test_graph(rng, 8, 0.3)
             mask = init_mask(g)
             mask.theta[:] = rng.normal(size=g.m)
-            split = split_of(8, [0, 1])
-            e0 = init_beliefs(split, negatives=[6, 7])
-            got = gradient(g, mask, e0, cfg, [0, 1], [6, 7])
-            want = fd_lpl_gradient(g, mask, e0, cfg, [0, 1], [6, 7])
+            got = gradient(g, mask, cfg, [0, 1], [6, 7])
+            want = fd_lpl_gradient(g, mask, cfg, [0, 1], [6, 7])
             big = np.abs(want) > 1e-8
             if big.any():
                 rel = np.abs(got[big] - want[big]) / np.abs(want[big])
@@ -175,7 +156,7 @@ class TestLplGradient:
         g = random_test_graph(rng, 5, 0.3)
         mask = init_mask(g)
         cfg = PropagationConfig(alpha=0.999, k_prop=2)
-        e0 = init_beliefs(split_of(5, [0]), negatives=[4])
+        e0 = _anchor_beliefs(5, [0], [4])
         step = 1e-4
         sens = 0.0
         for e in range(g.m):
@@ -186,7 +167,7 @@ class TestLplGradient:
             b_lo = propagate(propagation_operator(g, m_lo), e0, cfg)
             sens = max(sens, np.abs(b_hi - b_lo).max() / (2 * step))
         assert sens <= 1e-3
-        grad = gradient(g, mask, e0, cfg, [0], [4])
+        grad = gradient(g, mask, cfg, [0], [4])
         assert np.isfinite(grad).all()
 
     def test_zero_at_loss_floor(self):
@@ -194,20 +175,24 @@ class TestLplGradient:
         rng = np.random.default_rng(3)
         g = random_test_graph(rng, 5, 0.3)
         mask = init_mask(g)
-        split = split_of(5, range(5))
-        e0 = init_beliefs(split)
         cfg = PropagationConfig(alpha=0.5, k_prop=0)
-        grad = gradient(g, mask, e0, cfg, list(range(5)), [])
+        grad = gradient(g, mask, cfg, list(range(5)), [])
         np.testing.assert_array_equal(grad, 0.0)
+
+    @pytest.mark.parametrize("edges, k_prop", [([], 3), ([(0, 1), (1, 2)], 0), ([], 0)])
+    def test_no_edges_or_no_steps_give_positive_zeros(self, edges, k_prop):
+        g = build_graph(3, np.array(edges, dtype=np.int64).reshape(-1, 2), np.zeros((3, 1)), np.array([1, -1, 1]))
+        grad = gradient(g, init_mask(g), PropagationConfig(alpha=0.5, k_prop=k_prop), [0], [1])
+        assert grad.shape == (g.m,) and not grad.any() and not np.signbit(grad).any()
 
     def test_unnormalised_beliefs_rejected(self):
         # the one-vector adjoint needs E[:, 1] = 1 - E[:, 0] at every state
         g = random_test_graph(np.random.default_rng(4), 6, 0.4)
-        e0 = init_beliefs(split_of(6, [0]), negatives=[5])
+        e0 = _anchor_beliefs(6, [0], [5])
         e0[[2, 4]] = (0.5, 0.6)
         cfg = PropagationConfig(alpha=0.5, k_prop=3)
         with pytest.raises(PropagationError, match=r"belief row 2 sums to 1\.1"):
-            gradient(g, init_mask(g), e0, cfg, [0], [5])
+            gradient(g, init_mask(g), cfg, [0], [5], e0)
 
     def test_gradient_finite(self):
         rng = np.random.default_rng(7)
@@ -216,8 +201,7 @@ class TestLplGradient:
             mask = init_mask(g)
             mask.theta[:] = rng.normal(size=g.m)
             cfg = PropagationConfig(alpha=0.6, k_prop=4)
-            e0 = init_beliefs(split_of(10, [0]), negatives=[9])
-            grad = gradient(g, mask, e0, cfg, [0], [9])
+            grad = gradient(g, mask, cfg, [0], [9])
             assert np.isfinite(grad).all()
 
 
@@ -230,7 +214,7 @@ class TestStateReuse:
         g = generate_planted(PlantedConfig(n=150, h=0.6, avg_degree=5, seed=seed))
         split = make_pu_split(g, 0.5, seed=seed)
         neg = split.U[::3]
-        return g, split.P, neg, init_beliefs(split, negatives=neg)
+        return g, split.P, neg, _anchor_beliefs(g.n, split.P, neg)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_recorded_states_give_the_same_gradient(self, seed):
@@ -257,7 +241,7 @@ class TestStateReuse:
         theta = init_mask(g).theta.copy()
         prev = loss(theta)
         for _ in range(12):
-            grad = gradient(g, EdgeMask(theta), e0, cfg, pos, neg)
+            grad = gradient(g, EdgeMask(theta), cfg, pos, neg)
             if not np.any(grad):
                 break
             step_lr, cur = lr, prev
@@ -271,7 +255,7 @@ class TestStateReuse:
             prev = cur
             if done:
                 break
-        got = optimize_mask(g, init_mask(g), e0, cfg, pos, neg, steps=12, lr=lr)
+        got = optimize_mask(g, init_mask(g), cfg, pos, neg, steps=12, lr=lr)
         np.testing.assert_array_equal(got.theta, theta)
 
     @pytest.mark.parametrize("count", [0, 3, 5])
@@ -286,8 +270,7 @@ class TestOptimizeMask:
     def test_null_update(self, path3):
         mask = init_mask(path3)
         cfg = PropagationConfig(alpha=0.5, k_prop=2)
-        e0 = init_beliefs(split_of(3, [0]), negatives=[1])
-        out = optimize_mask(path3, mask, e0, cfg, [0], [1], steps=1, lr=0.0)
+        out = optimize_mask(path3, mask, cfg, [0], [1], steps=1, lr=0.0)
         np.testing.assert_array_equal(out.theta, mask.theta)
 
     def test_separates_edge_classes(self):
@@ -296,9 +279,8 @@ class TestOptimizeMask:
         g = generate_planted(cfg)
         split = make_pu_split(g, 1.0, seed=3)
         # full observation: U holds only negatives, so anchor them all
-        e0 = init_beliefs(split, negatives=split.U)
         pcfg = PropagationConfig(alpha=0.5, k_prop=10)
-        mask = optimize_mask(g, init_mask(g), e0, pcfg, split.P, split.U,
+        mask = optimize_mask(g, init_mask(g), pcfg, split.P, split.U,
                              steps=200, lr=0.1)
         w = mask.weights()
         lab = g.labels
@@ -310,12 +292,11 @@ class TestOptimizeMask:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             g = random_test_graph(rng, 10, 0.3)
-            split = split_of(10, [0, 1])
-            e0 = init_beliefs(split, negatives=[8, 9])
+            e0 = _anchor_beliefs(10, [0, 1], [8, 9])
             m0 = init_mask(g)
             before = lpl_loss(
                 propagate(propagation_operator(g, m0), e0, pcfg), [0, 1], [8, 9])
-            m1 = optimize_mask(g, m0, e0, pcfg, [0, 1], [8, 9], steps=15, lr=0.3)
+            m1 = optimize_mask(g, m0, pcfg, [0, 1], [8, 9], steps=15, lr=0.3)
             after = lpl_loss(
                 propagate(propagation_operator(g, m1), e0, pcfg), [0, 1], [8, 9])
             assert after <= before + 1e-12
@@ -324,6 +305,12 @@ class TestOptimizeMask:
         mask = init_mask(path3)
         theta0 = mask.theta.copy()
         cfg = PropagationConfig(alpha=0.5, k_prop=2)
-        e0 = init_beliefs(split_of(3, [0]), negatives=[1])
-        optimize_mask(path3, mask, e0, cfg, [0], [1], steps=5, lr=0.5)
+        optimize_mask(path3, mask, cfg, [0], [1], steps=5, lr=0.5)
         np.testing.assert_array_equal(mask.theta, theta0)
+
+    @pytest.mark.parametrize("pos, neg, msg", [([], [1], "empty"), ([0, 1], [1], "overlap")])
+    def test_bad_anchor_sets_rejected(self, path3, pos, neg, msg):
+        # the anchor sets alone define E_0, so they are checked before it is built
+        cfg = PropagationConfig(alpha=0.5, k_prop=2)
+        with pytest.raises(PropagationError, match=msg):
+            optimize_mask(path3, init_mask(path3), cfg, pos, neg, steps=1, lr=0.1)

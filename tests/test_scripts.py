@@ -1,10 +1,11 @@
 """Smoke runs of the scripts at tiny sizes: each figure script's run(args)
 exits 0 and writes its CSVs, and bench_classifier_step.py's step timer
-returns one time per size. That script's paired benchmark runs are left
-out: they take minutes."""
+returns one time per size. That script's paired benchmark runs are only
+checked with a stand-in for subprocess.run: for real they take minutes."""
 
 import csv
 import importlib.util
+import json
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -49,3 +50,27 @@ def test_bench_step_timer_times_each_size(monkeypatch):
     monkeypatch.setattr(module, "STEP_SIZES", (200,))
     times = module.step_times()
     assert list(times) == ["200"] and times["200"] > 0
+
+
+def test_bench_times_each_tree_with_its_own_step_timer(monkeypatch, tmp_path):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    module = load("bench_classifier_step")
+    calls = []
+    result = {"correct": True, "failed": 0, "metrics": {m: {"value": 1.0} for m in module.METRICS}}
+
+    def run(cmd, cwd, **kwargs):
+        calls.append((cwd, cmd[1:]))
+        out = {"1000": 1.0} if cmd[-1] == "--step-times" else result
+        return SimpleNamespace(stdout=f"env x\n{json.dumps(out)}\n")
+
+    monkeypatch.setattr(module.subprocess, "run", run)
+    monkeypatch.setattr(module, "WORKLOADS", ("gpl_h07_n4k",))
+    monkeypatch.setattr(module, "PAIRS", 2)
+    monkeypatch.setattr(module, "OUT", str(tmp_path / "bench.json"))
+    parent = tmp_path / "parent"
+    assert module.main(["--parent", str(parent)]) == 0
+    # run_tree runs each command in its tree, so the parent's own script is the one timed
+    timers = [(cwd, args) for cwd, args in calls if args[-1] == "--step-times"]
+    assert timers == [(str(parent), ["scripts/bench_classifier_step.py", "--step-times"]),
+                      (module.ROOT, ["scripts/bench_classifier_step.py", "--step-times"])]
+    assert json.loads((tmp_path / "bench.json").read_text())["step_us"]["parent"] == {"1000": 1.0}
