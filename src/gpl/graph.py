@@ -176,7 +176,7 @@ def _layout(g: SparseGraph, loops: np.ndarray) -> _Layout:
     return _Layout(*arrays)
 
 
-def propagation_operator(g: SparseGraph, mask: EdgeMask | None = None) -> sp.csr_matrix:
+def propagation_operator(g: SparseGraph, mask: EdgeMask | None) -> sp.csr_matrix:
     """Row-stochastic diffusion operator of the masked graph.
 
     Entry (i, j) = weight(i, j) / sum_k weight(i, k). Isolated nodes get an
@@ -196,7 +196,7 @@ def _propagation_degrees(g: SparseGraph, w: np.ndarray) -> np.ndarray:
     return lay.row_sums(lay.slot_weights(w))
 
 
-def gcn_operator(g: SparseGraph, mask: EdgeMask | None = None) -> sp.csr_matrix:
+def gcn_operator(g: SparseGraph, mask: EdgeMask | None) -> sp.csr_matrix:
     """Symmetric normalization of the masked graph plus self-loops.
 
     S = Dt^(-1/2) (M*A + I) Dt^(-1/2) with Dt the row sums of (M*A + I).

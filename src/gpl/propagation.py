@@ -40,43 +40,42 @@ def _anchor_beliefs(n: int, positives, negatives) -> np.ndarray:
     return e0
 
 
-def propagate(op: sp.csr_matrix, e0: np.ndarray, cfg: PropagationConfig, *, states=None) -> np.ndarray:
-    """K applications of E <- alpha*E + (1-alpha) * op @ E.
-
-    The map is a convex combination of row-stochastic maps, so row sums are
-    preserved exactly and rows stay in the simplex. A list passed as
-    `states` receives all K+1 beliefs E_0..E_K, the form lpl_gradient takes.
-    """
+def propagate(op: sp.csr_matrix, e0: np.ndarray, cfg: PropagationConfig) -> list[np.ndarray]:
+    """K applications of E <- alpha*E + (1-alpha) * op @ E; returns the K+1
+    beliefs [E_0, ..., E_K] that lpl_gradient takes (E_0 a float64 copy of
+    e0, the final beliefs [-1]). Each step is a convex combination of
+    row-stochastic maps, so row sums are preserved exactly and rows stay in
+    the simplex."""
     if op.shape[0] != e0.shape[0]:
         raise PropagationError("operator and belief dimensions disagree")
-    E = np.array(e0, dtype=np.float64, copy=True)
-    if states is not None:
-        states.append(E)
+    states = [np.array(e0, dtype=np.float64, copy=True)]
     for _ in range(cfg.k_prop):
-        E = cfg.alpha * E + (1.0 - cfg.alpha) * (op @ E)
-        if states is not None:
-            states.append(E)
-    return E
+        states.append(cfg.alpha * states[-1] + (1.0 - cfg.alpha) * (op @ states[-1]))
+    return states
 
 
-def _check_anchor_sets(positives, negatives):
+def _check_anchor_sets(n: int, positives, negatives):
     pos = _node_ids(positives)
     neg = _node_ids(negatives)
     if pos.size == 0:
         raise PropagationError("anchor positive set is empty")
+    ids = np.concatenate([pos, neg])
+    bad = ids[(ids < 0) | (ids >= n)]
+    if bad.size:
+        raise PropagationError(f"anchor id {bad[0]} is out of range for {n} nodes")
     if np.isin(pos, neg).any():
         raise PropagationError("anchor positive and negative sets overlap")
     return pos, neg
 
 
-def lpl_loss(beliefs, positives, negatives=()) -> float:
+def lpl_loss(beliefs, positives, negatives) -> float:
     """Mean log-probability of the wrong class at the anchor nodes.
 
     L = mean_{i in P'} log(P(y_i=-1) + eps) + mean_{i in N'} log(P(y_i=+1) + eps).
     Minimizing L drives anchor beliefs toward their known signs. The negative
     term is dropped when no negatives are identified.
     """
-    pos, neg = _check_anchor_sets(positives, negatives)
+    pos, neg = _check_anchor_sets(beliefs.shape[0], positives, negatives)
     loss = float(np.mean(np.log(beliefs[pos, 1] + LOG_EPS)))
     if neg.size:
         loss += float(np.mean(np.log(beliefs[neg, 0] + LOG_EPS)))
@@ -84,9 +83,9 @@ def lpl_loss(beliefs, positives, negatives=()) -> float:
 
 
 def lpl_gradient(g: SparseGraph, mask: EdgeMask, states, cfg: PropagationConfig, positives,
-                 negatives=()) -> np.ndarray:
+                 negatives) -> np.ndarray:
     """d(lpl_loss)/d(theta_e), exact through the K-step unroll whose K+1
-    beliefs E_0..E_K propagate(..., states=) recorded for this mask.
+    beliefs E_0..E_K propagate returned for this mask.
 
     The row normalization P = D^-1 (M*A) depends on the mask, so the
     gradient has two parts per directed edge (u, v) with weight w and
@@ -110,10 +109,12 @@ def lpl_gradient(g: SparseGraph, mask: EdgeMask, states, cfg: PropagationConfig,
     result equals the two-column formula up to rounding, and requires the
     rows of E_0 = states[0] to sum to 1 within 1e-12.
 
-    A log clamped at its floor (belief <= eps) contributes zero slope. With
-    K = 0 or no edges the unroll adds nothing and the result is all zeros.
+    An anchor whose wrong-class belief b is at or below eps contributes zero
+    slope: there this is the gradient of log(max(b, eps)), not of lpl_loss's
+    log(b + eps), which still slopes below the floor. With K = 0 or no edges
+    the unroll adds nothing and the result is all zeros.
     """
-    pos, neg = _check_anchor_sets(positives, negatives)
+    pos, neg = _check_anchor_sets(g.n, positives, negatives)
     K = cfg.k_prop
     if len(states) != K + 1:
         raise PropagationError(f"expected {K + 1} belief states, got {len(states)}")
@@ -153,19 +154,27 @@ def lpl_gradient(g: SparseGraph, mask: EdgeMask, states, cfg: PropagationConfig,
     return grad_w * w * (1.0 - w)
 
 
+def _lpl_at(g: SparseGraph, theta, e0, cfg: PropagationConfig, positives, negatives):
+    """(lpl_loss, beliefs E_0..E_K) at mask parameters theta, propagated from e0:
+    the inner objective optimize_mask descends and metrics.fd_lpl_gradient differentiates."""
+    states = propagate(propagation_operator(g, EdgeMask(theta)), e0, cfg)
+    return lpl_loss(states[-1], positives, negatives), states
+
+
 def optimize_mask(
     g: SparseGraph,
     mask: EdgeMask,
     cfg: PropagationConfig,
     positives,
-    negatives=(),
+    negatives,
     *,
     steps: int,
     lr: float,
 ) -> EdgeMask:
     """Descent on the mask parameters with a backtracking line search, on
-    lpl_loss of the beliefs propagated from E_0 = _anchor_beliefs(n,
-    positives, negatives): the anchor sets alone define the loss.
+    the loss _lpl_at gives from E_0 = _anchor_beliefs(n, positives,
+    negatives), so the anchor sets alone define it; lpl_gradient reads the
+    belief states _lpl_at returned for the accepted point.
 
     The step direction is sign(grad), steepest descent under the max norm,
     so lr is the per-parameter move in raw (logit) units. Raw gradient
@@ -180,18 +189,11 @@ def optimize_mask(
         raise PropagationError("steps must be >= 1")
     if lr < 0:
         raise PropagationError("lr must be >= 0")
-    positives, negatives = _check_anchor_sets(positives, negatives)
+    positives, negatives = _check_anchor_sets(g.n, positives, negatives)
     e0 = _anchor_beliefs(g.n, positives, negatives)
     theta = mask.theta.copy()
-
-    def loss_at(th, states):
-        """The loss at th; its K+1 belief states go into the list `states`."""
-        op = propagation_operator(g, EdgeMask(th))
-        return lpl_loss(propagate(op, e0, cfg, states=states), positives, negatives)
-
     # Only the accepted point's states and the current candidate's stay alive.
-    states = []
-    prev = loss_at(theta, states)
+    prev, states = _lpl_at(g, theta, e0, cfg, positives, negatives)
     if not np.isfinite(prev):
         raise PropagationError("non-finite loss at initialization")
     for _ in range(steps):
@@ -202,8 +204,8 @@ def optimize_mask(
         step_lr = lr
         cur = prev
         for _ in range(40):
-            cand, trial = theta - step_lr * direction, []
-            cand_loss = loss_at(cand, trial)
+            cand = theta - step_lr * direction
+            cand_loss, trial = _lpl_at(g, cand, e0, cfg, positives, negatives)
             if np.isfinite(cand_loss) and cand_loss <= prev:
                 theta, cur, states = cand, cand_loss, trial
                 break

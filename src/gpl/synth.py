@@ -107,7 +107,7 @@ def binarize_labels(multi_labels) -> np.ndarray:
     return np.where(lab == majority, 1, -1).astype(np.int64)
 
 
-def make_pu_split(g: SparseGraph, r_p: float, seed: int = 0) -> PUSplit:
+def make_pu_split(g: SparseGraph, r_p: float, seed: int) -> PUSplit:
     """Observe a uniformly random r_p fraction of the true positives,
     rounded half up.
 

@@ -178,7 +178,7 @@ def run_gpl(g: SparseGraph, split: PUSplit, cfg: TrainConfig):
                 steps=cfg.k_inner, lr=cfg.lr_mask,
             )
         e0 = _anchor_beliefs(g.n, pos_anchor, neg_anchor)
-        lpl = lpl_loss(propagate(propagation_operator(g, mask), e0, pcfg), pos_anchor, neg_anchor)
+        lpl = lpl_loss(propagate(propagation_operator(g, mask), e0, pcfg)[-1], pos_anchor, neg_anchor)
         if not np.isfinite(lpl):
             raise TrainError(f"non-finite lpl_loss at epoch {epoch}")
 

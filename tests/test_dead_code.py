@@ -2,7 +2,8 @@
 the tests: somewhere in the package, scripts/ or perfbench/ names it other
 than its own definition. The package's __init__ re-exports do not count.
 Every defaulted parameter of a public src/gpl function is passed by some
-call outside the tests. And no module in src/gpl, tests/ or scripts/
+call outside the tests, and omitted by some other, so no default serves only
+the tests. And no module in src/gpl, tests/ or scripts/
 imports a name it never reads."""
 
 import ast
@@ -36,11 +37,12 @@ def unused_public_names(root=ROOT):
     return sorted(f"{defined[k]}:{k}" for k in defined if k not in used)
 
 
-def unpassed_options(root=ROOT):
-    """file:function:parameter for each defaulted parameter of a public
-    top-level function in src/gpl that no call in the package, scripts/ or
-    perfbench/ passes, by keyword or by position. A call is matched by the
-    function's name; one that splats *args or **kwargs passes everything."""
+def _option_passes(root):
+    """{file:function:parameter: whether each call passes it} for each
+    defaulted parameter of a public top-level function in src/gpl, over the
+    calls in the package, scripts/ and perfbench/, by keyword or by position.
+    A call is matched by the function's name; one that splats *args or
+    **kwargs passes everything."""
     options, calls = {}, []
     paths = sorted((root / "src" / "gpl").glob("*.py"))
     for folder in ("scripts", "perfbench"):
@@ -58,7 +60,7 @@ def unpassed_options(root=ROOT):
                 opts = [(i, p.arg) for i, p in enumerate(positional) if i >= first]
                 opts += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
                 options[stmt.name] = (path.name, opts)
-    passed = set()
+    passes = {f"{file}:{fn}:{param}": [] for fn, (file, opts) in sorted(options.items()) for _, param in opts}
     for call in calls:
         f = call.func
         name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
@@ -66,11 +68,23 @@ def unpassed_options(root=ROOT):
             continue
         keywords = {k.arg for k in call.keywords}
         splat = None in keywords or any(isinstance(a, ast.Starred) for a in call.args)
-        for i, param in options[name][1]:
-            if splat or param in keywords or (i is not None and i < len(call.args)):
-                passed.add((name, param))
-    return [f"{file}:{fn}:{param}" for fn, (file, opts) in sorted(options.items())
-            for _, param in opts if (fn, param) not in passed]
+        file, opts = options[name]
+        for i, param in opts:
+            passes[f"{file}:{name}:{param}"].append(
+                splat or param in keywords or (i is not None and i < len(call.args)))
+    return passes
+
+
+def unpassed_options(root=ROOT):
+    """Each defaulted parameter that no call outside the tests passes."""
+    return [key for key, passed in _option_passes(root).items() if not any(passed)]
+
+
+def always_passed_options(root=ROOT):
+    """Each defaulted parameter that every call outside the tests passes, so
+    only tests use its default. A function no call names is left to
+    unused_public_names."""
+    return [key for key, passed in _option_passes(root).items() if passed and all(passed)]
 
 
 def unused_imports(root=ROOT):
@@ -144,3 +158,22 @@ def test_option_scan_reports_a_default_no_call_passes(tmp_path):
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "p.py").write_text("import gpl.a\ngpl.a.g(**{})\n")
     assert unpassed_options(tmp_path) == ["a.py:f:z", "a.py:f:k", "a.py:h:b"]
+
+
+def test_every_default_is_omitted_by_some_call_outside_tests():
+    assert always_passed_options() == []
+
+
+def test_default_scan_reports_a_default_every_call_passes(tmp_path):
+    pkg = tmp_path / "src" / "gpl"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("def f(x, y=1, z=2, *, k=3):\n    pass\n\n\n"
+                              "def g(a=0):\n    pass\n\n\n"
+                              "def h(b=0):\n    pass\n\n\n"
+                              "def _private(c=0):\n    pass\n\n\n"
+                              "f(0, 5, k=4)\nf(0, y=6)\n_private(c=1)\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text("import gpl.a\ngpl.a.f(0)\ngpl.a.g()\n")
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "s.py").write_text("import gpl.a\ngpl.a.g(a=1)\n")
+    assert always_passed_options(tmp_path) == ["a.py:f:y", "a.py:g:a"]

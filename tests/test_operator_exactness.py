@@ -85,14 +85,14 @@ def test_operators_match_coo_build(name, g):
 
 def test_rewired_graph_gets_its_own_pattern():
     g = generate_planted(PlantedConfig(n=300, h=0.2, seed=1))
-    propagation_operator(g)
-    gcn_operator(g)
+    propagation_operator(g, None)
+    gcn_operator(g, None)
     r = rewire_to_heterophily(g, 0.8, seed=2)
     assert not np.array_equal(r.edges, g.edges)
     mask = random_mask(np.random.default_rng(0), r)
     assert_same_csr(propagation_operator(r, mask), coo_propagation(r, mask))
     assert_same_csr(gcn_operator(r, mask), coo_gcn(r, mask))
-    assert propagation_operator(r).indices is not propagation_operator(g).indices
+    assert propagation_operator(r, None).indices is not propagation_operator(g, None).indices
 
 
 def test_mask_length_checked():
@@ -215,10 +215,8 @@ def gradient_problem(g):
 
 
 def recorded_lpl_gradient(g, mask, e0, cfg, pos, neg):
-    """lpl_gradient on the belief states propagate records from e0."""
-    states = []
-    propagate(propagation_operator(g, mask), e0, cfg, states=states)
-    return lpl_gradient(g, mask, states, cfg, pos, neg)
+    """lpl_gradient on the belief states propagate returns from e0."""
+    return lpl_gradient(g, mask, propagate(propagation_operator(g, mask), e0, cfg), cfg, pos, neg)
 
 
 EDGED = [(n, g) for n, g in graphs() if g.m]

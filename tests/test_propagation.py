@@ -42,20 +42,21 @@ class TestPropagate:
         e0 = _anchor_beliefs(3, [0], [])
         op = propagation_operator(path3, None)
         out = propagate(op, e0, PropagationConfig(alpha=0.5, k_prop=0))
-        np.testing.assert_array_equal(out, e0)
+        assert len(out) == 1
+        np.testing.assert_array_equal(out[0], e0)
 
     def test_retention_limit(self):
         rng = np.random.default_rng(0)
         g = random_test_graph(rng, 5, 0.3)
         e0 = _anchor_beliefs(5, [0, 2], [])
         op = propagation_operator(g, None)
-        out = propagate(op, e0, PropagationConfig(alpha=0.999, k_prop=5))
+        out = propagate(op, e0, PropagationConfig(alpha=0.999, k_prop=5))[-1]
         assert np.abs(out - e0).max() < 0.01
 
     def test_two_node_mix(self, path2):
         op = propagation_operator(path2, None)
         e0 = np.array([[1.0, 0.0], [0.0, 1.0]])
-        out = propagate(op, e0, PropagationConfig(alpha=0.5, k_prop=1))
+        out = propagate(op, e0, PropagationConfig(alpha=0.5, k_prop=1))[-1]
         np.testing.assert_allclose(out, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_dense_oracle_equivalence(self):
@@ -71,7 +72,7 @@ class TestPropagate:
             E = e0.copy()
             for _ in range(cfg.k_prop):
                 E = cfg.alpha * E + (1 - cfg.alpha) * dense @ E
-            np.testing.assert_allclose(propagate(op, e0, cfg), E, atol=1e-12)
+            np.testing.assert_allclose(propagate(op, e0, cfg)[-1], E, atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), alpha=st.floats(0.01, 0.99),
@@ -83,7 +84,7 @@ class TestPropagate:
         mask.theta[:] = rng.normal(size=g.m)
         e0 = _anchor_beliefs(g.n, [0], [])
         out = propagate(propagation_operator(g, mask), e0,
-                        PropagationConfig(alpha=alpha, k_prop=k))
+                        PropagationConfig(alpha=alpha, k_prop=k))[-1]
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-10)
         assert (out >= -1e-12).all()
 
@@ -97,11 +98,11 @@ class TestPropagate:
 class TestLplLoss:
     def test_uniform_positive(self):
         b = np.array([[0.5, 0.5]])
-        assert lpl_loss(b, [0]) == pytest.approx(np.log(0.5))
+        assert lpl_loss(b, [0], []) == pytest.approx(np.log(0.5))
 
     def test_floor_clamp(self):
         b = np.array([[1.0, 0.0]])
-        assert lpl_loss(b, [0]) == pytest.approx(np.log(1e-12), rel=1e-6)
+        assert lpl_loss(b, [0], []) == pytest.approx(np.log(1e-12), rel=1e-6)
 
     def test_mixed_anchors(self):
         b = np.array([[0.8, 0.2], [0.6, 0.4], [0.3, 0.7]])
@@ -112,25 +113,27 @@ class TestLplLoss:
 
     def test_empty_positive_errors(self):
         with pytest.raises(PropagationError, match="empty"):
-            lpl_loss(np.full((2, 2), 0.5), [])
+            lpl_loss(np.full((2, 2), 0.5), [], [])
 
     def test_overlap_rejected(self):
         with pytest.raises(PropagationError, match="overlap"):
             lpl_loss(np.full((2, 2), 0.5), [0], [0])
 
+    def test_out_of_range_id_rejected(self):
+        with pytest.raises(PropagationError, match="anchor id 2 is out of range for 2 nodes"):
+            lpl_loss(np.full((2, 2), 0.5), [0], [2])
+
     def test_negative_term_dropped_when_absent(self):
         b = np.array([[0.7, 0.3], [0.2, 0.8]])
-        assert lpl_loss(b, [0]) == pytest.approx(np.log(0.3))
+        assert lpl_loss(b, [0], []) == pytest.approx(np.log(0.3))
 
 
 def gradient(g, mask, cfg, pos, neg, e0=None):
-    """lpl_gradient on the belief states propagate records from e0, by
+    """lpl_gradient on the belief states propagate returns from e0, by
     default the E_0 the anchor sets define."""
-    states = []
     if e0 is None:
         e0 = _anchor_beliefs(g.n, pos, neg)
-    propagate(propagation_operator(g, mask), e0, cfg, states=states)
-    return lpl_gradient(g, mask, states, cfg, pos, neg)
+    return lpl_gradient(g, mask, propagate(propagation_operator(g, mask), e0, cfg), cfg, pos, neg)
 
 
 class TestLplGradient:
@@ -163,8 +166,8 @@ class TestLplGradient:
             m_hi, m_lo = EdgeMask(mask.theta.copy()), EdgeMask(mask.theta.copy())
             m_hi.theta[e] += step
             m_lo.theta[e] -= step
-            b_hi = propagate(propagation_operator(g, m_hi), e0, cfg)
-            b_lo = propagate(propagation_operator(g, m_lo), e0, cfg)
+            b_hi = propagate(propagation_operator(g, m_hi), e0, cfg)[-1]
+            b_lo = propagate(propagation_operator(g, m_lo), e0, cfg)[-1]
             sens = max(sens, np.abs(b_hi - b_lo).max() / (2 * step))
         assert sens <= 1e-3
         grad = gradient(g, mask, cfg, [0], [4])
@@ -178,6 +181,20 @@ class TestLplGradient:
         cfg = PropagationConfig(alpha=0.5, k_prop=0)
         grad = gradient(g, mask, cfg, list(range(5)), [])
         np.testing.assert_array_equal(grad, 0.0)
+
+    def test_no_slope_below_the_log_floor(self):
+        # node 0 is anchored positive between a negative and a positive
+        # neighbour; at theta=-30 on edge (0, 1) its wrong-class belief is
+        # 9.4e-14, below LOG_EPS, where lpl_gradient takes the slope of
+        # log(max(b, eps)), zero, while lpl_loss's log(b + eps) still slopes
+        g = build_graph(3, [(0, 1), (0, 2)], np.zeros((3, 1)), np.array([1, -1, 1]))
+        cfg = PropagationConfig(alpha=0.5, k_prop=1)
+        below = EdgeMask(np.array([-30.0, 0.0]))
+        assert np.abs(gradient(g, below, cfg, [0, 2], [1])).max() < 1e-12
+        assert fd_lpl_gradient(g, below, cfg, [0, 2], [1])[0] > 0.01
+        above = EdgeMask(np.array([-20.0, 0.0]))
+        np.testing.assert_allclose(gradient(g, above, cfg, [0, 2], [1]),
+                                   fd_lpl_gradient(g, above, cfg, [0, 2], [1]), atol=1e-8)
 
     @pytest.mark.parametrize("edges, k_prop", [([], 3), ([(0, 1), (1, 2)], 0), ([], 0)])
     def test_no_edges_or_no_steps_give_positive_zeros(self, edges, k_prop):
@@ -206,7 +223,7 @@ class TestLplGradient:
 
 
 class TestStateReuse:
-    """lpl_gradient reads the belief states propagate records, and
+    """lpl_gradient reads the belief states propagate returns, and
     optimize_mask hands it those of the accepted point."""
 
     @staticmethod
@@ -222,11 +239,13 @@ class TestStateReuse:
         cfg = PropagationConfig(alpha=0.4, k_prop=6)
         mask = init_mask(g)
         mask.theta[:] = np.random.default_rng(seed).normal(size=g.m)
-        states = []
-        final = propagate(propagation_operator(g, mask), e0, cfg, states=states)
+        op = propagation_operator(g, mask)
+        states = propagate(op, e0, cfg)
         assert len(states) == cfg.k_prop + 1
+        assert states[0] is not e0
         np.testing.assert_array_equal(states[0], e0)
-        np.testing.assert_array_equal(states[-1], final)
+        for prev, cur in zip(states, states[1:]):
+            np.testing.assert_array_equal(cur, cfg.alpha * prev + (1.0 - cfg.alpha) * (op @ prev))
 
     @pytest.mark.parametrize("seed, lr", [(0, 0.3), (1, 10.0), (2, 30.0)])
     def test_optimize_mask_matches_a_loop_without_states(self, seed, lr):
@@ -236,7 +255,7 @@ class TestStateReuse:
         cfg = PropagationConfig(alpha=0.5, k_prop=5)
 
         def loss(theta):
-            return lpl_loss(propagate(propagation_operator(g, EdgeMask(theta)), e0, cfg), pos, neg)
+            return lpl_loss(propagate(propagation_operator(g, EdgeMask(theta)), e0, cfg)[-1], pos, neg)
 
         theta = init_mask(g).theta.copy()
         prev = loss(theta)
@@ -295,10 +314,10 @@ class TestOptimizeMask:
             e0 = _anchor_beliefs(10, [0, 1], [8, 9])
             m0 = init_mask(g)
             before = lpl_loss(
-                propagate(propagation_operator(g, m0), e0, pcfg), [0, 1], [8, 9])
+                propagate(propagation_operator(g, m0), e0, pcfg)[-1], [0, 1], [8, 9])
             m1 = optimize_mask(g, m0, pcfg, [0, 1], [8, 9], steps=15, lr=0.3)
             after = lpl_loss(
-                propagate(propagation_operator(g, m1), e0, pcfg), [0, 1], [8, 9])
+                propagate(propagation_operator(g, m1), e0, pcfg)[-1], [0, 1], [8, 9])
             assert after <= before + 1e-12
 
     def test_input_mask_not_mutated(self, path3):
@@ -308,7 +327,9 @@ class TestOptimizeMask:
         optimize_mask(path3, mask, cfg, [0], [1], steps=5, lr=0.5)
         np.testing.assert_array_equal(mask.theta, theta0)
 
-    @pytest.mark.parametrize("pos, neg, msg", [([], [1], "empty"), ([0, 1], [1], "overlap")])
+    @pytest.mark.parametrize("pos, neg, msg", [([], [1], "empty"), ([0, 1], [1], "overlap"),
+                                               ([3], [1], "anchor id 3 is out of range"),
+                                               ([-1], [1], "anchor id -1 is out of range")])
     def test_bad_anchor_sets_rejected(self, path3, pos, neg, msg):
         # the anchor sets alone define E_0, so they are checked before it is built
         cfg = PropagationConfig(alpha=0.5, k_prop=2)
