@@ -167,7 +167,7 @@ def _layout(g: SparseGraph, loops: np.ndarray) -> _Layout:
     cols = np.concatenate([j, i, loops])
     ids = np.arange(g.m)
     edge = np.concatenate([ids, ids, np.full(loops.size, g.m)])
-    order = np.lexsort((cols, rows))
+    order = np.argsort(rows * g.n + cols)  # keys are unique: any sort gives lexsort(cols, rows)
     indptr = np.zeros(g.n + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=g.n), out=indptr[1:])
     arrays = [indptr, cols[order].astype(np.int32), edge[order].astype(np.int32)]

@@ -32,8 +32,8 @@ class PropagationConfig:
 
 
 def _anchor_beliefs(n: int, positives, negatives) -> np.ndarray:
-    """n x 2 beliefs: [1, 0] at positives, then [0, 1] at negatives (ids or
-    a boolean mask), the uniform row [0.5, 0.5] everywhere else."""
+    """n x 2 beliefs: [1, 0] at the positive ids, then [0, 1] at the negative
+    ids, the uniform row [0.5, 0.5] everywhere else."""
     e0 = np.full((n, 2), 0.5)
     e0[positives] = (1.0, 0.0)
     e0[negatives] = (0.0, 1.0)
@@ -55,6 +55,8 @@ def propagate(op: sp.csr_matrix, e0: np.ndarray, cfg: PropagationConfig) -> list
 
 
 def _check_anchor_sets(n: int, positives, negatives):
+    if np.asarray(positives).dtype == bool or np.asarray(negatives).dtype == bool:
+        raise PropagationError("anchor sets must be node ids, not boolean masks")
     pos = _node_ids(positives)
     neg = _node_ids(negatives)
     if pos.size == 0:
@@ -63,7 +65,9 @@ def _check_anchor_sets(n: int, positives, negatives):
     bad = ids[(ids < 0) | (ids >= n)]
     if bad.size:
         raise PropagationError(f"anchor id {bad[0]} is out of range for {n} nodes")
-    if np.isin(pos, neg).any():
+    is_pos = np.zeros(n, dtype=bool)
+    is_pos[pos] = True
+    if is_pos[neg].any():
         raise PropagationError("anchor positive and negative sets overlap")
     return pos, neg
 

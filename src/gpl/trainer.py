@@ -96,10 +96,21 @@ def trace_to_csv(trace: TrainTrace, path) -> None:
 
 
 def _check_split(g: SparseGraph, split: PUSplit) -> None:
-    if len(split.P) + len(split.U) != g.n:
-        raise TrainError("split does not cover the node set")
-    if np.intersect1d(split.P, split.U).size:
-        raise TrainError("observed and unlabeled sets overlap")
+    """P and U must hold every node id in [0, n) exactly once between them."""
+    ids = np.concatenate([split.P, split.U])
+    bad = ids[(ids < 0) | (ids >= g.n)]
+    if bad.size:
+        raise TrainError(f"split id {bad[0]} is out of range for {g.n} nodes")
+    counts = np.bincount(ids, minlength=g.n)
+    twice = np.flatnonzero(counts > 1)
+    if twice.size:
+        v = twice[0]
+        if v in split.P and v in split.U:
+            raise TrainError(f"observed and unlabeled sets overlap at node {v}")
+        raise TrainError(f"node {v} appears twice in the split")
+    missing = np.flatnonzero(counts == 0)
+    if missing.size:
+        raise TrainError(f"split does not cover node {missing[0]}")
 
 
 def _fit(cfg: TrainConfig, work: Workspace, positives, negatives, steps, state=None):

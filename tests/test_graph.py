@@ -251,6 +251,35 @@ class TestOperators:
         np.testing.assert_allclose(s, s.T, atol=1e-12)
 
 
+def _lexsort_layout(g, loops):
+    """Reference CSR pattern: the slots sorted by (row, column) with np.lexsort."""
+    i, j = g.edges[:, 0], g.edges[:, 1]
+    rows, cols = np.concatenate([i, j, loops]), np.concatenate([j, i, loops])
+    edge = np.concatenate([np.arange(g.m), np.arange(g.m), np.full(loops.size, g.m)])
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=g.n))])
+    return indptr, cols[order], edge[order]
+
+
+class TestLayouts:
+    @pytest.mark.parametrize("case", ["isolated", "no_edges", "single_node", "planted"])
+    def test_match_a_lexsort_build(self, case):
+        g = {
+            "isolated": lambda: _graph(7, [(0, 3), (3, 5), (1, 5)]),  # nodes 2, 4, 6 isolated
+            "no_edges": lambda: _graph(4, []),
+            "single_node": lambda: _graph(1, []),
+            "planted": lambda: generate_planted(PlantedConfig(
+                n=500, pi_p=0.3, h=0.6, avg_degree=6.0, feature_dim=4,
+                feature_separation=1.0, seed=11)),
+        }[case]()
+        for lay, loops in [(g._propagation_layout, np.flatnonzero(g.degrees() == 0)),
+                           (g._gcn_layout, np.arange(g.n))]:
+            for got, want in zip((lay.indptr, lay.indices, lay.edge), _lexsort_layout(g, loops)):
+                assert got.dtype == np.int32
+                assert not got.flags.writeable
+                np.testing.assert_array_equal(got, want)
+
+
 class TestMask:
     def test_weights_in_open_interval(self):
         rng = np.random.default_rng(2)

@@ -329,7 +329,12 @@ class TestOptimizeMask:
 
     @pytest.mark.parametrize("pos, neg, msg", [([], [1], "empty"), ([0, 1], [1], "overlap"),
                                                ([3], [1], "anchor id 3 is out of range"),
-                                               ([-1], [1], "anchor id -1 is out of range")])
+                                               ([-1], [1], "anchor id -1 is out of range"),
+                                               # the range check runs before the overlap check marks ids
+                                               ([0, 1], [1, 3], "anchor id 3 is out of range"),
+                                               # a boolean mask would be read as the ids 0 and 1
+                                               (np.array([True, False, True]), [], "not boolean masks"),
+                                               ([0], np.array([False, True, False]), "not boolean masks")])
     def test_bad_anchor_sets_rejected(self, path3, pos, neg, msg):
         # the anchor sets alone define E_0, so they are checked before it is built
         cfg = PropagationConfig(alpha=0.5, k_prop=2)

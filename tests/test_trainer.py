@@ -81,6 +81,32 @@ class TestSplitValidation:
             run_baseline(g, bad, TrainConfig(**FAST))
 
 
+    @pytest.mark.parametrize("run", [run_gpl, run_baseline])
+    @pytest.mark.parametrize("where, bad_id", [("P", 240), ("P", -1), ("U", 240)])
+    def test_out_of_range_id_rejected(self, run, where, bad_id):
+        g, split = small_problem(0.3)
+        ids = {"P": split.P.copy(), "U": split.U.copy()}
+        ids[where][-1] = bad_id  # n=240: the last valid id is 239
+        bad = PUSplit(P=ids["P"], U=ids["U"], pi_true=split.pi_true)
+        with pytest.raises(TrainError, match=f"split id {bad_id} is out of range for 240 nodes"):
+            run(g, bad, TrainConfig(**FAST))
+
+    def test_repeated_id_rejected(self):
+        # same total length, so only the count per node shows the fault
+        g, split = small_problem(0.3)
+        p = split.P.copy()
+        p[1] = p[0]
+        bad = PUSplit(P=p, U=split.U, pi_true=split.pi_true)
+        with pytest.raises(TrainError, match=f"node {p[0]} appears twice"):
+            run_baseline(g, bad, TrainConfig(**FAST))
+
+    def test_first_missing_node_named(self):
+        g, split = small_problem(0.3)
+        bad = PUSplit(P=split.P[split.P != 0], U=split.U[split.U != 0], pi_true=split.pi_true)
+        with pytest.raises(TrainError, match="split does not cover node 0$"):
+            run_gpl(g, bad, TrainConfig(**FAST))
+
+
 class TestNullTraining:
     """Zero learning rates and zero inner steps reduce to pure inference."""
 
