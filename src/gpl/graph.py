@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -112,16 +112,21 @@ class EdgeMask:
     """
 
     theta: np.ndarray  # (m,) float64
+    # (g, theta copy, op, w, d) of the last propagation build; see _propagation.
+    _held: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def weights(self) -> np.ndarray:
         return expit(self.theta)
 
 
 def _node_ids(nodes) -> np.ndarray:
-    """Node ids as an int64 array; arrays pass through without a copy."""
-    if isinstance(nodes, np.ndarray):
-        return nodes.astype(np.int64, copy=False)
-    return np.asarray(list(nodes), dtype=np.int64)
+    """Node ids as an int64 array; int64 arrays pass through without a copy.
+    A boolean or non-integer input is rejected, not cast: a mask would read
+    as the ids 0 and 1. An empty input is an empty set whatever its dtype."""
+    ids = nodes if isinstance(nodes, np.ndarray) else np.asarray(list(nodes))
+    if ids.size and ids.dtype.kind not in "iu":
+        raise GraphError(f"node ids must be integers, got dtype {ids.dtype}")
+    return ids.astype(np.int64, copy=False)
 
 
 def init_mask(g: SparseGraph) -> EdgeMask:
@@ -176,24 +181,37 @@ def _layout(g: SparseGraph, loops: np.ndarray) -> _Layout:
     return _Layout(*arrays)
 
 
+def _propagation(g: SparseGraph, mask: EdgeMask | None):
+    """(op, w, d): propagation_operator's result, the edge weights and the row
+    sums it divides by. A mask holds its last triple and hands it back while
+    the graph is the same object and theta has the same values; mask=None
+    builds and holds nothing."""
+    held = None if mask is None else mask._held
+    if held is not None and held[0] is g and np.array_equal(held[1], mask.theta):
+        return held[2:]
+    lay = g._propagation_layout
+    w = _edge_weights(g, mask)
+    slot_w = lay.slot_weights(w)
+    d = lay.row_sums(slot_w)
+    op = lay.matrix(lay.per_slot(1.0 / d) * slot_w)
+    if mask is not None:
+        for a in (op.data, w, d):
+            a.flags.writeable = False  # handed to every caller until theta changes
+        mask._held = (g, mask.theta.copy(), op, w, d)
+    return op, w, d
+
+
 def propagation_operator(g: SparseGraph, mask: EdgeMask | None) -> sp.csr_matrix:
     """Row-stochastic diffusion operator of the masked graph.
 
     Entry (i, j) = weight(i, j) / sum_k weight(i, k). Isolated nodes get an
     identity row so they keep their own belief. mask=None means unit weights.
-    The sparsity pattern is built once per graph and cached on it; each call
-    recomputes the entries from the mask, so the result always reflects the
-    mask passed in.
+    The sparsity pattern is built once per graph and cached on it. A mask
+    keeps the last operator built from it and returns that same object while
+    the graph and theta are unchanged; changing theta, in place or not,
+    gives a fresh build.
     """
-    lay = g._propagation_layout
-    w = lay.slot_weights(_edge_weights(g, mask))
-    return lay.matrix(lay.per_slot(1.0 / lay.row_sums(w)) * w)
-
-
-def _propagation_degrees(g: SparseGraph, w: np.ndarray) -> np.ndarray:
-    """The row sums propagation_operator divides by, for edge weights w."""
-    lay = g._propagation_layout
-    return lay.row_sums(lay.slot_weights(w))
+    return _propagation(g, mask)[0]
 
 
 def gcn_operator(g: SparseGraph, mask: EdgeMask | None) -> sp.csr_matrix:

@@ -197,8 +197,8 @@ def fd_lpl_gradient(g, mask, cfg, positives, negatives):
     propagation._lpl_at from the E_0 the anchor sets define, the same
     evaluation optimize_mask's line search makes."""
     e0 = _anchor_beliefs(g.n, positives, negatives)
-    theta = mask.theta.copy()
-    return _central_diff(lambda: _lpl_at(g, theta, e0, cfg, positives, negatives)[0], theta)
+    probe = EdgeMask(mask.theta.copy())  # each in-place move of its theta rebuilds the operator
+    return _central_diff(lambda: _lpl_at(g, probe, e0, cfg, positives, negatives)[0], probe.theta)
 
 
 def _rel_err(analytic, numeric, floor=1e-8):

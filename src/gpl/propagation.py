@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import EdgeMask, SparseGraph, _node_ids, _propagation_degrees, propagation_operator
+from .graph import EdgeMask, SparseGraph, _node_ids, _propagation, propagation_operator
 
 LOG_EPS = 1e-12
 
@@ -127,10 +127,9 @@ def lpl_gradient(g: SparseGraph, mask: EdgeMask, states, cfg: PropagationConfig,
     if bad.size:
         raise PropagationError(f"belief row {bad[0]} sums to {float(sums[bad[0]])}, not 1")
 
-    w = mask.weights()
     i, j = g.edges[:, 0], g.edges[:, 1]
     op = propagation_operator(g, mask)
-    d = _propagation_degrees(g, w)
+    _, w, d = _propagation(g, mask)  # held on the mask by the build above
 
     delta = np.zeros(g.n)
     bp = states[-1][pos, 1]
@@ -158,10 +157,11 @@ def lpl_gradient(g: SparseGraph, mask: EdgeMask, states, cfg: PropagationConfig,
     return grad_w * w * (1.0 - w)
 
 
-def _lpl_at(g: SparseGraph, theta, e0, cfg: PropagationConfig, positives, negatives):
-    """(lpl_loss, beliefs E_0..E_K) at mask parameters theta, propagated from e0:
-    the inner objective optimize_mask descends and metrics.fd_lpl_gradient differentiates."""
-    states = propagate(propagation_operator(g, EdgeMask(theta)), e0, cfg)
+def _lpl_at(g: SparseGraph, mask: EdgeMask, e0, cfg: PropagationConfig, positives, negatives):
+    """(lpl_loss, beliefs E_0..E_K) at the mask, propagated from e0: the inner
+    objective optimize_mask descends and metrics.fd_lpl_gradient differentiates.
+    The mask keeps the operator, for lpl_gradient at the same point."""
+    states = propagate(propagation_operator(g, mask), e0, cfg)
     return lpl_loss(states[-1], positives, negatives), states
 
 
@@ -178,7 +178,8 @@ def optimize_mask(
     """Descent on the mask parameters with a backtracking line search, on
     the loss _lpl_at gives from E_0 = _anchor_beliefs(n, positives,
     negatives), so the anchor sets alone define it; lpl_gradient reads the
-    belief states _lpl_at returned for the accepted point.
+    belief states _lpl_at returned for the accepted point, and the operator
+    the accepted mask holds.
 
     The step direction is sign(grad), steepest descent under the max norm,
     so lr is the per-parameter move in raw (logit) units. Raw gradient
@@ -187,7 +188,7 @@ def optimize_mask(
     unstable across graph sizes. Each step halves the rate until the loss
     does not increase, so the loss is non-increasing over accepted steps.
     Stops early once the relative loss change drops below 1e-5. Returns a
-    new mask; the input is untouched.
+    new mask, holding its operator; the input is untouched.
     """
     if steps < 1:
         raise PropagationError("steps must be >= 1")
@@ -195,27 +196,27 @@ def optimize_mask(
         raise PropagationError("lr must be >= 0")
     positives, negatives = _check_anchor_sets(g.n, positives, negatives)
     e0 = _anchor_beliefs(g.n, positives, negatives)
-    theta = mask.theta.copy()
+    mask = EdgeMask(mask.theta.copy())
     # Only the accepted point's states and the current candidate's stay alive.
-    prev, states = _lpl_at(g, theta, e0, cfg, positives, negatives)
+    prev, states = _lpl_at(g, mask, e0, cfg, positives, negatives)
     if not np.isfinite(prev):
         raise PropagationError("non-finite loss at initialization")
     for _ in range(steps):
-        grad = lpl_gradient(g, EdgeMask(theta), states, cfg, positives, negatives)
+        grad = lpl_gradient(g, mask, states, cfg, positives, negatives)
         if not np.any(grad):
             break
         direction = np.sign(grad)
         step_lr = lr
         cur = prev
         for _ in range(40):
-            cand = theta - step_lr * direction
+            cand = EdgeMask(mask.theta - step_lr * direction)
             cand_loss, trial = _lpl_at(g, cand, e0, cfg, positives, negatives)
             if np.isfinite(cand_loss) and cand_loss <= prev:
-                theta, cur, states = cand, cand_loss, trial
+                mask, cur, states = cand, cand_loss, trial
                 break
             step_lr *= 0.5
         done = abs(cur - prev) < 1e-5 * max(1.0, abs(prev))
         prev = cur
         if done:
             break
-    return EdgeMask(theta)
+    return mask

@@ -22,7 +22,7 @@ from gpl.gnn import (
     scores,
     select_top,
 )
-from gpl.graph import build_graph, gcn_operator
+from gpl.graph import GraphError, build_graph, gcn_operator
 from gpl.metrics import fd_classifier_gradients, random_mask, random_test_graph
 from gpl.synth import PlantedConfig, generate_planted, make_pu_split
 
@@ -167,6 +167,17 @@ class TestPuLoss:
         b = pu_loss(z, pos[::-1], neg[::-1])
         assert a == pytest.approx(b, abs=1e-15)
 
+    # a mask would be read as the ids 1, 0, 1 and a float id cut to an int
+    @pytest.mark.parametrize("ids, dtype", [(np.array([True, False, True]), "bool"),
+                                            ([0.0, 2.7], "float64")])
+    def test_mask_or_float_ids_rejected(self, ids, dtype):
+        z = np.array([0.9, 0.2, 0.9])
+        with pytest.raises(GraphError, match=f"got dtype {dtype}"):
+            pu_loss(z, ids, [])
+        with pytest.raises(GraphError, match=f"got dtype {dtype}"):
+            pu_loss(z, [0], ids)
+        assert pu_loss(z, [0, 2], []) == pytest.approx(-np.log(0.9), abs=1e-9)
+
 
 class TestBackward:
     def test_null_learning_rate_leaves_params(self):
@@ -193,6 +204,14 @@ class TestBackward:
             assert big.any()
             rel = np.abs(grad[big] - g_num[big]) / np.abs(g_num[big])
             assert rel.max() < 1e-4, np.flatnonzero(big)[np.argmax(rel)]
+
+    @pytest.mark.parametrize("ids, dtype", [(np.array([True, False, True, False, False, False]), "bool"),
+                                            (np.array([0.0, 4.5]), "float64")])
+    def test_mask_or_float_ids_rejected(self, ids, dtype):
+        g = random_test_graph(np.random.default_rng(2), 6, 0.3)
+        work = Workspace(gcn_operator(g, None), g.features, 3)
+        with pytest.raises(GraphError, match=f"got dtype {dtype}"):
+            loss_gradients(init_classifier(3, 3, seed=0), work, ids, [4, 5])
 
     def test_separable_graph_trains_to_low_loss(self):
         cfg = PlantedConfig(n=80, pi_p=0.5, h=0.1, avg_degree=6,

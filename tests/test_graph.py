@@ -17,7 +17,8 @@ from gpl.graph import (
     rewire_to_heterophily,
 )
 from gpl.metrics import random_test_graph
-from gpl.synth import PlantedConfig, generate_planted
+from gpl.propagation import PropagationConfig, optimize_mask
+from gpl.synth import PlantedConfig, generate_planted, make_pu_split
 
 
 def _graph(n, edges, labels=None):
@@ -292,3 +293,57 @@ class TestMask:
     def test_init_near_default(self):
         g = _graph(2, [(0, 1)])
         np.testing.assert_allclose(init_mask(g).weights(), 0.95, atol=1e-12)
+
+
+def _same_csr(a, b):
+    for x, y in ((a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+class TestHeldOperator:
+    """A mask keeps its last propagation operator while the graph and theta
+    are unchanged; whatever it hands back matches a fresh mask's build."""
+
+    @staticmethod
+    def planted(h=0.6):
+        return generate_planted(PlantedConfig(n=200, h=h, avg_degree=5, seed=4))
+
+    def test_reused_while_unchanged(self):
+        g = self.planted()
+        mask = EdgeMask(np.random.default_rng(0).normal(size=g.m))
+        op = propagation_operator(g, mask)
+        assert propagation_operator(g, mask) is op
+        _same_csr(op, propagation_operator(g, EdgeMask(mask.theta.copy())))
+
+    def test_theta_changed_in_place_rebuilds(self):
+        g = self.planted()
+        mask = EdgeMask(np.random.default_rng(1).normal(size=g.m))
+        old = propagation_operator(g, mask)
+        mask.theta[3] += 0.25
+        op = propagation_operator(g, mask)
+        assert op is not old
+        _same_csr(op, propagation_operator(g, EdgeMask(mask.theta.copy())))
+
+    def test_another_graph_with_the_same_edge_count_rebuilds(self):
+        g = self.planted()
+        r = rewire_to_heterophily(g, 0.2, seed=5)
+        assert r.m == g.m and not np.array_equal(r.edges, g.edges)
+        mask = EdgeMask(np.random.default_rng(2).normal(size=g.m))
+        propagation_operator(g, mask)
+        _same_csr(propagation_operator(r, mask), propagation_operator(r, EdgeMask(mask.theta.copy())))
+        _same_csr(propagation_operator(g, mask), propagation_operator(g, EdgeMask(mask.theta.copy())))
+
+    def test_optimize_mask_returns_the_operator_its_line_search_built(self):
+        g = self.planted()
+        split = make_pu_split(g, 0.5, seed=4)
+        out = optimize_mask(g, init_mask(g), PropagationConfig(alpha=0.5, k_prop=4),
+                            split.P, split.U[::4], steps=5, lr=0.2)
+        held = out._held[2]
+        assert propagation_operator(g, out) is held
+        _same_csr(held, propagation_operator(g, EdgeMask(out.theta.copy())))
+
+    def test_held_values_are_read_only(self):
+        g = self.planted()
+        op = propagation_operator(g, init_mask(g))
+        with pytest.raises(ValueError, match="read-only"):
+            op.data[0] = 0.0

@@ -71,6 +71,14 @@ class TestF1:
         b = f1_score(pred[perm], truth[perm], np.arange(12))
         assert a == pytest.approx(b)
 
+    @pytest.mark.parametrize("eval_set, dtype", [([True, False, True], "bool"), ([0.0, 2.7], "float64")])
+    def test_mask_or_float_eval_set_rejected(self, eval_set, dtype):
+        # a mask would score the nodes 1, 0, 1
+        pred, truth = np.array([1, -1, 1]), np.array([1, 1, 1])
+        with pytest.raises(GraphError, match=f"got dtype {dtype}"):
+            f1_score(pred, truth, eval_set)
+        assert f1_score(pred, truth, [0, 2]) == 1.0
+
 
 class TestHeterophilyInfluence:
     def test_disconnected_zero(self):

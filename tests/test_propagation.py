@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+
+import gpl.propagation
+from gpl.graph import _Layout
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -276,6 +279,28 @@ class TestStateReuse:
                 break
         got = optimize_mask(g, init_mask(g), cfg, pos, neg, steps=12, lr=lr)
         np.testing.assert_array_equal(got.theta, theta)
+
+    @pytest.mark.parametrize("seed, lr", [(0, 0.3), (1, 30.0)])
+    def test_gradients_build_no_operator(self, monkeypatch, seed, lr):
+        # every propagation build is a line-search evaluation: the gradient
+        # reuses the operator the accepted mask holds
+        g, pos, neg, _ = self.problem(seed)
+        builds, evals = [], []
+        matrix, lpl_at = _Layout.matrix, gpl.propagation._lpl_at
+
+        def counted_matrix(lay, data):
+            builds.append(lay is g._propagation_layout)
+            return matrix(lay, data)
+
+        def counted_lpl_at(*args):
+            evals.append(1)
+            return lpl_at(*args)
+
+        monkeypatch.setattr(_Layout, "matrix", counted_matrix)
+        monkeypatch.setattr(gpl.propagation, "_lpl_at", counted_lpl_at)
+        optimize_mask(g, init_mask(g), PropagationConfig(alpha=0.5, k_prop=5), pos, neg, steps=8, lr=lr)
+        assert len(evals) > 1  # so at least one gradient ran
+        assert sum(builds) == len(evals)
 
     @pytest.mark.parametrize("count", [0, 3, 5])
     def test_wrong_number_of_states_rejected(self, count):
