@@ -57,41 +57,51 @@ class SparseGraph:
 def build_graph(n, edges, features, labels) -> SparseGraph:
     """Validate and canonicalize raw inputs into a SparseGraph.
 
-    `edges` is an (m, 2) array or any iterable of pairs. Symmetric
-    duplicates collapse to one stored edge. Self-loops and out-of-range
-    endpoints are rejected, naming the first offending pair in input order
-    (a self-loop before a range error); NaN or infinite features are
-    rejected, naming the first offending row.
+    `edges` is an (m, 2) integer array or any iterable of integer pairs;
+    boolean, float, string and object ids are rejected, not cast, and an
+    empty input is no edges whatever its dtype. Symmetric duplicates
+    collapse to one stored edge. Self-loops and out-of-range endpoints are
+    rejected, naming the first offending pair in input order (a self-loop
+    before a range error); NaN or infinite features are rejected, naming
+    the first offending row.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise GraphError(f"node count must be an integer, got {n!r}")
+    n = int(n)  # a numpy uint64 count would turn the int64 keys into floats
     if n <= 0:
         raise GraphError("node count must be positive")
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
     try:
-        pairs = np.asarray(edges, dtype=np.int64)
+        pairs = np.asarray(edges)
     except (TypeError, ValueError) as exc:
         raise GraphError(f"edges must be (i, j) integer pairs: {exc}") from None
     if pairs.size == 0:
-        pairs = pairs.reshape(0, 2)
+        pairs = np.empty((0, 2), np.int64)
+    elif pairs.dtype.kind not in "iu":  # Python ints past int64 arrive as float or object
+        raise GraphError(f"edges must be (i, j) integer pairs, got dtype {pairs.dtype}")
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise GraphError(f"edges must be (i, j) integer pairs, got shape {pairs.shape}")
-    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    ij = pairs.astype(np.int64, copy=False)  # uint64 ids past int64 wrap negative: out of range
+    lo, hi = np.minimum(ij[:, 0], ij[:, 1]), np.maximum(ij[:, 0], ij[:, 1])
     bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= n))
     if bad.size:
         i, j = pairs[bad[0]].tolist()
         if i == j:
             raise GraphError(f"edge ({i}, {j}): self-loop")
         raise GraphError(f"edge ({i}, {j}): index out of range for n={n}")
-    keys = np.unique(lo * n + hi)  # sorted, so the pairs come out lexicographic
-    edge_arr = np.column_stack([keys // n, keys % n])
+    # sort and drop repeats: np.unique hashes integer keys before sorting them
+    keys = np.sort(lo * n + hi)
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    edge_arr = np.column_stack(np.divmod(keys, n))
 
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != n:
         raise GraphError(
             f"feature matrix has {features.shape[0] if features.ndim == 2 else '?'} rows, expected {n}"
         )
-    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
-    if bad.size:
+    if not np.isfinite(features).all():
+        bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
         raise GraphError(f"feature row {bad[0]}: non-finite value")
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (n,):
@@ -259,6 +269,11 @@ def _typed_pairs(flat, pos: np.ndarray, neg: np.ndarray, cross: bool):
     return a, b
 
 
+def _in_sorted(keys: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.isin(x, keys) for ascending, non-empty keys, by binary search."""
+    return keys[np.minimum(np.searchsorted(keys, x), keys.size - 1)] == x
+
+
 def rewire_to_heterophily(g: SparseGraph, target_h: float, seed: int) -> SparseGraph:
     """Swap edges until the heterophily ratio is within 0.02 of target_h.
 
@@ -300,12 +315,12 @@ def rewire_to_heterophily(g: SparseGraph, target_h: float, seed: int) -> SparseG
 
     rng = np.random.default_rng(seed)
     n = g.n
-    keys = g.edges[:, 0] * n + g.edges[:, 1]
+    keys = g.edges[:, 0] * n + g.edges[:, 1]  # ascending: edges are in canonical order
     removed = rng.choice(np.flatnonzero(g.cross != adding_cross), k, replace=False)
     flat = rng.choice(max_cross if adding_cross else max_within, k + have, replace=False)
     a, b = _typed_pairs(flat, pos, neg, adding_cross)
     drawn = a * n + b
-    added = drawn[~np.isin(drawn, keys)][:k]
+    added = drawn[~_in_sorted(keys, drawn)][:k]
     new_keys = np.sort(np.concatenate([np.delete(keys, removed), added]))
     edges = np.column_stack([new_keys // n, new_keys % n])
     return SparseGraph(n=n, edges=edges, features=g.features, labels=g.labels)

@@ -125,7 +125,9 @@ def make_pu_split(g: SparseGraph, r_p: float, seed: int) -> PUSplit:
         raise DatasetError(f"r_p={r_p:g} observes all {pos.size} positives and every node is one, so U is empty")
     rng = np.random.default_rng(seed)
     chosen = np.sort(rng.choice(pos, size=k, replace=False))
-    u = np.setdiff1d(np.arange(g.n), chosen)
+    observed = np.zeros(g.n, dtype=bool)
+    observed[chosen] = True
+    u = np.flatnonzero(~observed)
     hidden = pos.size - k
     return PUSplit(P=chosen, U=u, pi_true=hidden / u.size)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from scipy.stats import chi2
 from gpl.graph import (
     EdgeMask,
     GraphError,
+    _in_sorted,
     _pair_from_index,
     build_graph,
     gcn_operator,
@@ -97,6 +100,63 @@ class TestBuildGraph:
     def test_malformed_pairs_rejected(self, edges):
         with pytest.raises(GraphError, match="pairs"):
             _graph(4, edges)
+
+    @given(st.integers(2, 9).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(-2, n + 1), st.integers(-2, n + 1)), max_size=12))))
+    @settings(max_examples=200, deadline=None)
+    def test_array_edges_match_a_set_reference(self, case):
+        # the same pairs as an int64 array: repeats, both directions and bad pairs
+        n, pairs = case
+        arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        bad = [(i, j) for i, j in pairs if i == j or not (0 <= i < n and 0 <= j < n)]
+        if bad:
+            i, j = bad[0]
+            what = "self-loop" if i == j else f"index out of range for n={n}"
+            with pytest.raises(GraphError, match=rf"^edge \({i}, {j}\): {what}$"):
+                _graph(n, arr)
+            return
+        want = sorted({(min(i, j), max(i, j)) for i, j in pairs})
+        g = _graph(n, arr)
+        assert g.edges.dtype == np.int64 and g.edges.shape == (len(want), 2)
+        assert g.edges.tolist() == [list(e) for e in want]
+
+    @pytest.mark.parametrize("edges", [
+        [], (), np.zeros((0, 2), dtype=np.int64), np.zeros((0, 2), dtype=bool),
+        np.array([]), np.zeros((0, 2), dtype=object),
+    ])
+    def test_empty_edges_of_any_dtype_mean_no_edges(self, edges):
+        g = _graph(3, edges)
+        assert g.edges.dtype == np.int64 and g.edges.shape == (0, 2)
+
+    @pytest.mark.parametrize("edges, dtype", [
+        ([[0, 2.7]], "float64"),
+        ([[True, False]], "bool"),
+        ([(0, "1")], "<U21"),
+        ([(0, None)], "object"),
+        ([(0, 2**63)], "float64"),  # numpy reads a Python int past int64 as a float
+        ([(0, 2**64)], "object"),
+        (np.array([[0, 1]], dtype=np.float32), "float32"),
+    ])
+    def test_non_integer_ids_rejected_not_cast(self, edges, dtype):
+        with pytest.raises(GraphError, match=rf"^edges must be \(i, j\) integer pairs, got dtype {re.escape(dtype)}$"):
+            _graph(4, edges)
+
+    def test_unsigned_ids_past_int64_named_as_given(self):
+        edges = np.array([[0, 1], [1, 2**64 - 1]], dtype=np.uint64)
+        with pytest.raises(GraphError, match=rf"^edge \(1, {2**64 - 1}\): index out of range for n=4$"):
+            _graph(4, edges)
+        narrow = _graph(4, np.array([[3, 1], [0, 1]], dtype=np.uint8))
+        assert narrow.edges.dtype == np.int64 and narrow.edges.tolist() == [[0, 1], [1, 3]]
+
+    @pytest.mark.parametrize("n", [4.0, True, "4", None])
+    def test_node_count_must_be_an_integer(self, n):
+        with pytest.raises(GraphError, match=rf"^node count must be an integer, got {re.escape(repr(n))}$"):
+            build_graph(n, [(0, 1)], np.zeros((4, 2)), np.ones(4, dtype=int))
+        for count in (np.int64(4), np.uint64(4), np.int8(4)):
+            g = build_graph(count, [(0, 1), (3, 2)], np.zeros((4, 2)), np.ones(4, dtype=int))
+            assert type(g.n) is int and g.n == 4
+            assert g.edges.dtype == np.int64 and g.edges.tolist() == [[0, 1], [2, 3]]
 
 
 class TestHeterophilyRatio:
@@ -194,6 +254,18 @@ class TestRewire:
         expected = counts.sum() / absent.size
         stat = float(np.sum((counts - expected) ** 2 / expected))
         assert stat < chi2.ppf(0.999, absent.size - 1), stat  # 48.3 at 22 dof, 31.3 at 11
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_membership_by_binary_search_matches_isin(self, seed):
+        rng = np.random.default_rng(seed)
+        g = generate_planted(PlantedConfig(n=300, h=0.3, avg_degree=6, seed=seed))
+        keys = g.edges[:, 0] * g.n + g.edges[:, 1]
+        # present keys, absent pairs, and values below the first and past the last key
+        x = np.concatenate([rng.choice(keys, 50), rng.integers(-5, g.n * g.n + 5, 200),
+                            keys[[0, -1]], [keys[0] - 1, keys[-1] + 1]])
+        np.testing.assert_array_equal(_in_sorted(keys, x), np.isin(x, keys))
+        one = keys[:1]
+        np.testing.assert_array_equal(_in_sorted(one, x), np.isin(x, one))
 
     def test_unreachable_target_errors(self):
         # 3 positives, 1 negative: at most 3 cross pairs exist, 5 edges wanted
@@ -347,3 +419,18 @@ class TestHeldOperator:
         op = propagation_operator(g, init_mask(g))
         with pytest.raises(ValueError, match="read-only"):
             op.data[0] = 0.0
+
+
+def test_setup_path_avoids_hashed_set_operations(monkeypatch):
+    """Planting a graph, splitting it and rewiring it use sorts and marks:
+    from numpy 2.3 on, np.unique and the set routines built on it hash
+    integer input first, which costs several times a sort."""
+    for name in ("unique", "setdiff1d", "isin"):
+        def hashed(*args, _name=name, **kwargs):
+            raise AssertionError(f"np.{_name} called on the set-up path")
+        monkeypatch.setattr(np, name, hashed)
+    g = generate_planted(PlantedConfig(n=400, h=0.3, avg_degree=6, seed=1))
+    split = make_pu_split(g, 0.5, seed=1)
+    assert split.P.size + split.U.size == g.n
+    for target in (0.1, 0.7):
+        assert abs(heterophily_ratio(rewire_to_heterophily(g, target, seed=2)) - target) <= 0.02

@@ -160,6 +160,14 @@ class TestMakePuSplit:
         hidden = (g.labels[split.U] == 1).sum()
         assert split.pi_true == pytest.approx(hidden / split.U.size)
 
+    @pytest.mark.parametrize("rp", [0.1, 0.5, 1.0])
+    def test_unlabeled_set_matches_setdiff(self, rp):
+        g = generate_planted(PlantedConfig(n=500, pi_p=0.3, h=0.4, avg_degree=4, seed=2))
+        split = make_pu_split(g, rp, seed=5)
+        want = np.setdiff1d(np.arange(g.n), split.P)
+        assert split.U.dtype == np.int64 and (np.diff(split.U) > 0).all()
+        np.testing.assert_array_equal(split.U, want)
+
     def test_no_positives_errors(self):
         from gpl.graph import build_graph
         g = build_graph(3, [(0, 1)], np.zeros((3, 2)), np.array([-1, -1, -1]))
