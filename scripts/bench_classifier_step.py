@@ -1,23 +1,24 @@
 #!/usr/bin/env python3
 """Before/after numbers for one classifier Adam step, as a BENCH_*.json file.
 
-    python3 scripts/bench_classifier_step.py --parent DIR [--seed 0]
+    python3 scripts/bench_classifier_step.py --parent DIR [--seed 0] [--pairs 10] [--out FILE]
 
 DIR is an unpacked copy of the commit to compare against (for example from
 `git archive`); the change is the tree this script lives in. Two parts:
 
-- Per-step time: the best of 5 x 300 `backward_and_step` calls on one
-  workspace, planted graph at h=0.7, hidden 16, at n = 1000/4000/16000,
-  with one BLAS thread. Each tree runs its own copy of this script with
-  --step-times, in its own process, so each is timed with the step
-  signature of its own package.
+- Per-step time: the best of 5 repeats of `backward_and_step` calls on one
+  workspace, hidden 16, with one BLAS thread, on planted graphs at h=0.7:
+  n = 1000/4000/16000 with 8 features, and Cora's shape, n=2708 with 1433
+  features and average degree 3.9. This script times both trees, each in
+  its own process with the tree's own package, so both sides run the same
+  timer on the same shapes; the two trees take --pairs alternating turns.
 - End to end: `perfbench/run.py` on every workload at its default
-  --seconds, in 10 alternating pairs (parent first in even pairs, change
-  first in odd ones), one process per run. For each metric the file holds the per-pair values, the medians and
+  --seconds, in --pairs alternating pairs (parent first in even pairs,
+  change first in odd ones), one process per run. For each metric the file holds the per-pair values, the medians and
   quartiles of each side, and the pairs where the change came out lower.
 
 Both trees run on the same machine, one process at a time. The report goes
-to BENCH_classifier_step.json at the root of this tree.
+to --out, by default BENCH_classifier_step.json at the root of this tree.
 """
 
 import argparse
@@ -34,7 +35,9 @@ ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), ".."))
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 WORKLOADS = ("gpl_h07_n4k", "baseline_h07_n16k", "sweep_h_n1k")
 METRICS = ("wall_s", "setup_s", "cpu_s", "peak_rss_mb")
-STEP_SIZES = (1000, 4000, 16000)
+# name: (n, feature_dim, avg_degree, calls per repeat)
+STEP_SHAPES = {"1000": (1000, 8, 10.0, 300), "4000": (4000, 8, 10.0, 300), "16000": (16000, 8, 10.0, 300),
+               "cora_2708x1433": (2708, 1433, 3.9, 30)}
 PAIRS = 10
 OUT = os.path.join(ROOT, "BENCH_classifier_step.json")
 
@@ -46,16 +49,16 @@ def step_times() -> dict:
     from gpl.synth import PlantedConfig, generate_planted, make_pu_split
 
     out = {}
-    for n in STEP_SIZES:
-        g = generate_planted(PlantedConfig(n=n, h=0.7, seed=0))
+    for name, (n, d, degree, number) in STEP_SHAPES.items():
+        g = generate_planted(PlantedConfig(n=n, h=0.7, avg_degree=degree, feature_dim=d, seed=0))
         split = make_pu_split(g, 0.5, seed=0)
         op = gcn_operator(g, None)
         work = Workspace(op, g.features, 16)
-        state = init_classifier(g.features.shape[1], 16, seed=0)
+        state = init_classifier(d, 16, seed=0)
         times = timeit.repeat(
             lambda: backward_and_step(state, work, split.P, split.U, 0.01),
-            number=300, repeat=5)
-        out[str(n)] = 1e6 * min(times) / 300
+            number=number, repeat=5)
+        out[name] = 1e6 * min(times) / number
     return out
 
 
@@ -70,20 +73,36 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def compare(parent: list[float], change: list[float]) -> dict:
+    return {"parent": summary(parent), "change": summary(change),
+            "change_lower_in_pairs": sum(c < p for p, c in zip(parent, change))}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="unpacked copy of the commit to compare against")
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--pairs", type=int, default=PAIRS, help="alternating parent/change pairs")
+    ap.add_argument("--out", default=OUT, help="report file")
     args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("--pairs must be >= 2: quartiles need two runs a side")
     trees = {"parent": os.path.abspath(args.parent), "change": ROOT}
 
-    steps = {side: json.loads(run_tree(tree, "scripts/bench_classifier_step.py", "--step-times")[-1])
-             for side, tree in trees.items()}
+    def sides(i):
+        return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+    steps = {side: {k: [] for k in STEP_SHAPES} for side in trees}
+    for i in range(args.pairs):
+        for side in sides(i):
+            for k, us in json.loads(run_tree(trees[side], os.path.abspath(__file__), "--step-times")[-1]).items():
+                steps[side][k].append(us)
+    step_us = {k: compare(steps["parent"][k], steps["change"][k]) for k in STEP_SHAPES}
     env, e2e = {}, {}
     for w in WORKLOADS:
         runs = {side: {m: [] for m in METRICS} for side in trees}
-        for i in range(PAIRS):
-            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+        for i in range(args.pairs):
+            for side in sides(i):
                 lines = run_tree(trees[side], "perfbench/run.py", "--workload", w,
                                  "--seed", str(args.seed))
                 env.setdefault(side, next(ln for ln in lines if ln.startswith("env ")))
@@ -94,21 +113,21 @@ def main(argv=None) -> int:
                     runs[side][m].append(result["metrics"][m]["value"])
             print(f"{w} pair {i}: wall_s {runs['parent']['wall_s'][-1]:.4f} -> "
                   f"{runs['change']['wall_s'][-1]:.4f}", file=sys.stderr)
-        e2e[w] = {m: {"parent": summary(runs["parent"][m]), "change": summary(runs["change"][m]),
-                      "change_lower_in_pairs": sum(c < p for p, c in zip(runs["parent"][m], runs["change"][m]))}
-                  for m in METRICS}
+        e2e[w] = {m: compare(runs["parent"][m], runs["change"][m]) for m in METRICS}
 
     report = {
         "what": "one classifier Adam step (gnn.backward_and_step), parent vs change",
         "env": env,
-        "seed": args.seed, "pairs": PAIRS,
-        "step_us": {"sizes": list(STEP_SIZES), "best_of": "5 x 300 calls", **steps},
+        "seed": args.seed, "pairs": args.pairs,
+        "step_us": {"shapes": {k: {"n": n, "features": d, "avg_degree": deg, "best_of": f"5 x {num} calls"}
+                               for k, (n, d, deg, num) in STEP_SHAPES.items()},
+                    **step_us},
         "end_to_end": e2e,
     }
-    with open(OUT, "w", encoding="utf-8") as f:
+    with open(args.out, "w", encoding="utf-8") as f:
         json.dump(report, f, indent=2)
         f.write("\n")
-    print(f"wrote {OUT}")
+    print(f"wrote {args.out}")
     return 0
 
 

@@ -13,6 +13,12 @@ LOG_EPS = 1e-12
 ADAM_B1 = 0.9
 ADAM_B2 = 0.999
 ADAM_EPS = 1e-8
+# bytes of one row block of the hidden layer: 2048 rows at hidden 16
+BLOCK_BYTES = 256 * 1024
+# rows of a block come in whole groups of BLOCK_ALIGN: BLAS takes the rows
+# of a product in groups (16 in OpenBLAS's Haswell kernels), and a block
+# starting mid-group would move the scores' last bits
+BLOCK_ALIGN = 64
 
 
 class ClassifierError(ValueError):
@@ -54,13 +60,17 @@ class Workspace:
     xs1T = [op @ X | 1].T, the first aggregation with a ones row, held
     contiguous as (D+1) x n (scores multiplies its .T view by [W1; b1], so
     the bias comes with the product); opT = op.T, a view sharing op's
-    arrays, for the outer adjoint; and n x hidden scratch arrays pre1 and
-    h1, which every call writes before it reads.
+    arrays, for the outer adjoint; and one n x hidden scratch array h1,
+    which every call writes before it reads. A step walks h1 in `blocks`,
+    row slices of about BLOCK_BYTES each, a whole number of BLOCK_ALIGN
+    rows (the last may be shorter), so each of its passes over the hidden
+    layer can stay in a per-core L2 cache.
 
     Sharing a workspace leaves every result bit for bit the same. Against
-    the textbook step (xs @ W1 + b1, a column sum for the b1 gradient) so do
-    the scores, the loss and the W2 and b2 gradients; the W1 and b1
-    gradients, with W2 out of their n-long sums, can move in the last bits.
+    the textbook step (xs @ W1 + b1, a column sum for the b1 gradient), and
+    whatever the block size, so do the scores, the loss and the W2 and b2
+    gradients; the W1 and b1 gradients, with W2 out of their n-long sums
+    and those sums taken per block, can move in the last bits.
     """
 
     def __init__(self, op, X, hidden: int):
@@ -68,8 +78,9 @@ class Workspace:
         self.opT = op.T
         n = op.shape[0]
         self.xs1T = np.vstack([(op @ X).T, np.ones(n)])
-        self.pre1 = np.empty((n, hidden))
         self.h1 = np.empty((n, hidden))
+        rows = max(1, BLOCK_BYTES // (8 * BLOCK_ALIGN * max(hidden, 1))) * BLOCK_ALIGN
+        self.blocks = [slice(i, i + rows) for i in range(0, n, rows)]
 
 
 def scores(state: ClassifierState, work: Workspace) -> np.ndarray:
@@ -79,12 +90,15 @@ def scores(state: ClassifierState, work: Workspace) -> np.ndarray:
     d_in, hidden = state.W1.shape
     if work.X.shape[1] != d_in:
         raise ClassifierError(f"W1 has {d_in} rows but X has {work.X.shape[1]} feature columns")
-    if work.pre1.shape[1] != hidden:
-        raise ClassifierError(f"W1 has {hidden} columns but the workspace holds {work.pre1.shape[1]} hidden units")
-    np.matmul(work.xs1T.T, state.W1b1, out=work.pre1)
-    np.maximum(work.pre1, 0.0, out=work.h1)
-    pre2 = (work.op @ (work.h1 @ state.W2)).ravel() + state.b2[0]
-    return expit(pre2)
+    if work.h1.shape[1] != hidden:
+        raise ClassifierError(f"W1 has {hidden} columns but the workspace holds {work.h1.shape[1]} hidden units")
+    u = np.empty((work.h1.shape[0], 1))
+    for b in work.blocks:
+        h = work.h1[b]
+        np.matmul(work.xs1T[:, b].T, state.W1b1, out=h)
+        np.maximum(h, 0.0, out=h)
+        np.matmul(h, state.W2, out=u[b])
+    return expit((work.op @ u).ravel() + state.b2[0])
 
 
 def forward(state: ClassifierState, op, X) -> np.ndarray:
@@ -119,8 +133,10 @@ def loss_gradients(state: ClassifierState, work: Workspace, positives, negatives
     Returns (grad, loss), with grad laid out like state.theta.
 
     W2 comes out of the first layer's n-long sums: with dq the outer adjoint
-    and M = 1[pre1 > 0], grad[W1; b1] = (xs1T @ (M * dq)) * W2.T, with M * dq
-    written over pre1: n x hidden work per step whatever the feature width.
+    and M = 1[h1 > 0], grad[W1; b1] = (xs1T @ (M * dq)) * W2.T. The W2
+    gradient h1.T @ dq is taken first; then each block of h1 is overwritten
+    by M * dq and its xs1T columns' product added to the sum: n x hidden
+    work per step whatever the feature width.
 
     The operator is treated as a constant: no gradient flows to the edge
     mask from the classification loss.
@@ -140,10 +156,15 @@ def loss_gradients(state: ClassifierState, work: Workspace, positives, negatives
     dpre2 = dz * z * (1.0 - z)
 
     dq = work.opT @ dpre2  # adjoint of the outer aggregation
-    dqM = np.greater(work.pre1, 0.0, out=work.pre1)  # M as 0/1; pre1 is not read again
-    dqM *= dq[:, None]
-    grad = np.concatenate([((work.xs1T @ dqM) * state.W2.T).ravel(), (work.h1.T @ dq[:, None]).ravel(), [dpre2.sum()]])
-    return grad, loss
+    g2 = work.h1.T @ dq[:, None]  # before the blocks overwrite h1
+    g1 = np.zeros_like(state.W1b1)
+    for b in work.blocks:
+        m = work.h1[b]
+        np.greater(m, 0.0, out=m)  # M as 0/1
+        m *= dq[b, None]
+        g1 += work.xs1T[:, b] @ m
+    g1 *= state.W2.T
+    return np.concatenate([g1.ravel(), g2.ravel(), [dpre2.sum()]]), loss
 
 
 def backward_and_step(state: ClassifierState, work: Workspace, positives, negatives, lr: float):
@@ -174,13 +195,18 @@ def select_top(u_nodes, u_scores, pi_hat: float) -> SelectionResult:
     """Top round(pi_hat * |U|) unlabeled nodes by score.
 
     Rounding is half-up; score ties break toward the lower node index.
+    A node id given twice is an error: it would land in both sets.
     """
     if not 0.0 <= pi_hat <= 1.0:
         raise ClassifierError("pi_hat must lie in [0, 1]")
-    u = np.asarray(u_nodes, dtype=np.int64)
+    u = _node_ids(u_nodes)
     s = np.asarray(u_scores, dtype=np.float64)
     if u.shape != s.shape:
         raise ClassifierError("node and score arrays must align")
+    ids = np.sort(u)
+    repeats = ids[1:][ids[1:] == ids[:-1]]
+    if repeats.size:
+        raise ClassifierError(f"node id {repeats[0]} appears more than once in U")
     k = int(np.floor(pi_hat * u.size + 0.5))
     order = np.lexsort((u, -s))
     chosen = np.sort(u[order[:k]])

@@ -270,8 +270,14 @@ def _typed_pairs(flat, pos: np.ndarray, neg: np.ndarray, cross: bool):
 
 
 def _in_sorted(keys: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """np.isin(x, keys) for ascending, non-empty keys, by binary search."""
-    return keys[np.minimum(np.searchsorted(keys, x), keys.size - 1)] == x
+    """np.isin(x, keys) for ascending, non-empty keys, by binary search. x is
+    searched in ascending order, so that consecutive searches land close
+    together, and the hits are scattered back to x's order."""
+    order = np.argsort(x)
+    xs = x[order]
+    hit = np.empty(x.shape, dtype=bool)
+    hit[order] = keys[np.minimum(np.searchsorted(keys, xs), keys.size - 1)] == xs
+    return hit
 
 
 def rewire_to_heterophily(g: SparseGraph, target_h: float, seed: int) -> SparseGraph:

@@ -2,10 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+import gpl.gnn as gnn
 from gpl.gnn import (
     ADAM_B1,
     ADAM_B2,
@@ -120,6 +122,20 @@ class TestSelectTop:
         sel = select_top(u, rng.random(20), 0.4)
         merged = np.sort(np.concatenate([sel.s_set, sel.complement]))
         assert np.array_equal(merged, u)
+
+    # a mask would be read as the ids 1, 0, 1 and a float id cut to an int
+    @pytest.mark.parametrize("ids, dtype", [(np.array([True, False, True]), "bool"),
+                                            ([0.0, 2.7, 1.0], "float64")])
+    def test_mask_or_float_ids_rejected(self, ids, dtype):
+        with pytest.raises(GraphError, match=f"got dtype {dtype}"):
+            select_top(ids, np.array([0.9, 0.2, 0.8]), 0.5)
+
+    def test_repeated_id_rejected(self):
+        # 3 would land in both the selection and its complement
+        with pytest.raises(ClassifierError, match="node id 3 appears more than once"):
+            select_top([3, 3, 1], np.array([0.9, 0.2, 0.5]), 1 / 3)
+        with pytest.raises(ClassifierError, match="node id 5 appears"):
+            select_top(np.array([5, 0, 7, 5]), np.zeros(4), 0.5)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 9999), pi=st.floats(0, 1), eps=st.floats(0, 1))
@@ -264,8 +280,8 @@ class TestWorkspace:
             np.testing.assert_array_equal(grads_b[k], grads_a[k], err_msg=k)
 
     def test_scores_after_a_step_match_a_fresh_workspace(self):
-        # the step leaves relu * dq written over pre1; the next scores
-        # on that workspace must not read it
+        # the step leaves M * dq written over h1; the next scores on that
+        # workspace must not read it
         g, op, pos, neg = self.problem(300)
         state = init_classifier(g.features.shape[1], 16, seed=1)
         work = Workspace(op, g.features, 16)
@@ -389,6 +405,73 @@ class TestAgainstTextbookStep:
         assert not np.array_equal(state.theta, init_classifier(d_in, 16, seed=3).theta)
         for vec, blocks in ((state.theta, params), (state.adam_m, m), (state.adam_v, v)):
             np.testing.assert_array_equal(vec, np.concatenate([b.ravel() for b in blocks.values()]))
+
+
+class TestRowBlocks:
+    """The hidden layer walked in row blocks of gnn.BLOCK_BYTES, forced down
+    to the smallest block (BLOCK_ALIGN rows) at n near 300, against one."""
+
+    @staticmethod
+    def problem(n):
+        g = generate_planted(PlantedConfig(n=n, h=0.7, avg_degree=10, seed=1))
+        split = make_pu_split(g, 0.5, seed=1)
+        op = gcn_operator(g, random_mask(np.random.default_rng(5), g))
+        state = init_classifier(g.features.shape[1], 16, seed=3)
+        rng = np.random.default_rng(6)
+        for p in state.params().values():  # move off the init so both relu sides occur
+            p += 0.3 * rng.normal(size=p.shape)
+        return g, split, op, state
+
+    @pytest.mark.parametrize("hidden, block_bytes, rows", [
+        (1, 1, 64), (16, 1, 64), (16, 64 * 128, 64), (16, 64 * 128 + 127, 64),  # the smallest block
+        (16, 127 * 128, 64), (16, 128 * 128, 128), (16, 256 * 1024, 2048), (7, 256 * 1024, 4672),
+        (3000, 256 * 1024, 64)])
+    def test_blocks_are_whole_groups_covering_every_row_once(self, hidden, block_bytes, rows, monkeypatch):
+        monkeypatch.setattr(gnn, "BLOCK_BYTES", block_bytes)
+        n = 5000
+        work = Workspace(sp.identity(n, format="csr"), np.zeros((n, 1)), hidden)
+        spans = [b.indices(n) for b in work.blocks]
+        assert spans[0] == (0, min(rows, n), 1)
+        assert all(stop - start == rows for start, stop, _ in spans[:-1])
+        assert np.array_equal(np.concatenate([np.arange(*s) for s in spans]), np.arange(n))
+
+    @pytest.mark.parametrize("n", [300, 301])
+    @pytest.mark.parametrize("block_bytes", [
+        1,             # smallest blocks, 64 rows: a ragged last one of 44 or 45
+        128 * 128,     # 128 rows
+        1024 * 128])   # n below one block
+    def test_blocks_match_one_block(self, n, block_bytes, monkeypatch):
+        g, split, op, state = self.problem(n)
+        one = Workspace(op, g.features, 16)
+        assert len(one.blocks) == 1
+        monkeypatch.setattr(gnn, "BLOCK_BYTES", block_bytes)
+        work = Workspace(op, g.features, 16)
+        np.testing.assert_array_equal(scores(state, work), scores(state, one))
+        grad, loss = loss_gradients(state, work, split.P, split.U)
+        grad_one, loss_one = loss_gradients(state, one, split.P, split.U)
+        assert loss == loss_one
+        got, want = named(grad, state), named(grad_one, state)
+        ref = textbook_step(state, op, g.features, split.P, split.U)[0]
+        for k in ("W2", "b2"):
+            np.testing.assert_array_equal(got[k], want[k], err_msg=k)
+            np.testing.assert_array_equal(got[k], ref[k], err_msg=k)
+        for k in ("W1", "b1"):  # the bound of TestAgainstTextbookStep
+            assert np.abs(got[k] - ref[k]).max() <= 1e-13 * np.abs(ref[k]).max(), k
+        # a step overwrites every block; the next scores must rebuild them all
+        backward_and_step(state, work, split.P, split.U, 0.05)
+        np.testing.assert_array_equal(scores(state, work), scores(state, Workspace(op, g.features, 16)))
+
+    @pytest.mark.parametrize("block_bytes", [1, 128 * 128, 256 * 1024])
+    def test_workspace_holds_one_hidden_layer(self, block_bytes, monkeypatch):
+        # xs1T and one n x hidden buffer; a second n x hidden array would
+        # add 128 bytes a node at hidden 16
+        n, hidden = 4000, 16
+        g = generate_planted(PlantedConfig(n=n, h=0.7, seed=0))
+        monkeypatch.setattr(gnn, "BLOCK_BYTES", block_bytes)
+        work = Workspace(gcn_operator(g, None), g.features, hidden)
+        own = [v for v in vars(work).values() if isinstance(v, np.ndarray) and v is not g.features]
+        d_in = g.features.shape[1]
+        assert sum(v.nbytes for v in own) <= (d_in + 1 + hidden) * n * 8 + 8 * n
 
 
 class TestPredictLabels:

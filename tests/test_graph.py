@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import logit
 from scipy.stats import chi2
 
+import gpl.graph as graph_mod
 from gpl.graph import (
     EdgeMask,
     GraphError,
@@ -266,6 +267,18 @@ class TestRewire:
         np.testing.assert_array_equal(_in_sorted(keys, x), np.isin(x, keys))
         one = keys[:1]
         np.testing.assert_array_equal(_in_sorted(one, x), np.isin(x, one))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rewired_graph_matches_one_rewired_with_isin(self, seed, monkeypatch):
+        # membership of the drawn pairs by np.isin in draw order must give
+        # the same bytes as the sorted binary search
+        g = generate_planted(PlantedConfig(n=400, h=0.6, avg_degree=8, seed=seed))
+        got = [rewire_to_heterophily(g, t, seed) for t in (0.1, 0.4, 0.9)]
+        monkeypatch.setattr(graph_mod, "_in_sorted", lambda keys, x: np.isin(x, keys))
+        for t, r in zip((0.1, 0.4, 0.9), got):
+            want = rewire_to_heterophily(g, t, seed)
+            assert r.edges.dtype == want.edges.dtype
+            assert r.edges.tobytes() == want.edges.tobytes(), t
 
     def test_unreachable_target_errors(self):
         # 3 positives, 1 negative: at most 3 cross pairs exist, 5 edges wanted

@@ -1,6 +1,6 @@
 """Smoke runs of the scripts at tiny sizes: each figure script's run(args)
 exits 0 and writes its CSVs, and bench_classifier_step.py's step timer
-returns one time per size. That script's paired benchmark runs are only
+returns one time per shape. That script's paired benchmark runs are only
 checked with a stand-in for subprocess.run: for real they take minutes."""
 
 import csv
@@ -47,30 +47,59 @@ def test_bench_step_timer_times_each_size(monkeypatch):
     # the script sets OPENBLAS_NUM_THREADS on import; monkeypatch restores it
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     module = load("bench_classifier_step")
-    monkeypatch.setattr(module, "STEP_SIZES", (200,))
+    assert module.STEP_SHAPES["cora_2708x1433"][:3] == (2708, 1433, 3.9)
+    monkeypatch.setattr(module, "STEP_SHAPES", {"200": (200, 8, 10.0, 3), "wide": (100, 40, 3.9, 2)})
     times = module.step_times()
-    assert list(times) == ["200"] and times["200"] > 0
+    assert list(times) == ["200", "wide"] and min(times.values()) > 0
 
 
-def test_bench_times_each_tree_with_its_own_step_timer(monkeypatch, tmp_path):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    module = load("bench_classifier_step")
+def bench_stub(module, monkeypatch):
+    """Stand-in for subprocess.run: (calls made, as (tree, args))."""
     calls = []
     result = {"correct": True, "failed": 0, "metrics": {m: {"value": 1.0} for m in module.METRICS}}
 
     def run(cmd, cwd, **kwargs):
         calls.append((cwd, cmd[1:]))
-        out = {"1000": 1.0} if cmd[-1] == "--step-times" else result
+        out = {k: 1.0 for k in module.STEP_SHAPES} if cmd[-1] == "--step-times" else result
         return SimpleNamespace(stdout=f"env x\n{json.dumps(out)}\n")
 
     monkeypatch.setattr(module.subprocess, "run", run)
     monkeypatch.setattr(module, "WORKLOADS", ("gpl_h07_n4k",))
+    return calls
+
+
+def test_bench_times_each_tree_with_its_own_step_timer(monkeypatch, tmp_path):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    module = load("bench_classifier_step")
+    calls = bench_stub(module, monkeypatch)
     monkeypatch.setattr(module, "PAIRS", 2)
     monkeypatch.setattr(module, "OUT", str(tmp_path / "bench.json"))
     parent = tmp_path / "parent"
     assert module.main(["--parent", str(parent)]) == 0
-    # run_tree runs each command in its tree, so the parent's own script is the one timed
+    # run_tree runs each command in its tree, on that tree's package, and
+    # both trees run this script's timer; they take alternating turns,
+    # parent first
+    timer = [str(SCRIPTS / "bench_classifier_step.py"), "--step-times"]
     timers = [(cwd, args) for cwd, args in calls if args[-1] == "--step-times"]
-    assert timers == [(str(parent), ["scripts/bench_classifier_step.py", "--step-times"]),
-                      (module.ROOT, ["scripts/bench_classifier_step.py", "--step-times"])]
-    assert json.loads((tmp_path / "bench.json").read_text())["step_us"]["parent"] == {"1000": 1.0}
+    assert timers == [(str(parent), timer), (module.ROOT, timer), (module.ROOT, timer), (str(parent), timer)]
+    report = json.loads((tmp_path / "bench.json").read_text())
+    assert report["pairs"] == 2
+    assert set(report["step_us"]) == {"shapes", *module.STEP_SHAPES}
+    assert report["step_us"]["1000"]["parent"]["runs"] == [1.0, 1.0]
+
+
+def test_bench_pairs_and_out_flags(monkeypatch, tmp_path):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    module = load("bench_classifier_step")
+    calls = bench_stub(module, monkeypatch)
+    default_out = tmp_path / "default.json"
+    monkeypatch.setattr(module, "OUT", str(default_out))
+    out = tmp_path / "other.json"
+    assert module.main(["--parent", str(tmp_path), "--pairs", "3", "--out", str(out)]) == 0
+    assert not default_out.exists()
+    report = json.loads(out.read_text())
+    assert report["pairs"] == 3
+    assert report["end_to_end"]["gpl_h07_n4k"]["wall_s"]["change"]["runs"] == [1.0] * 3
+    assert sum(args[0] == "perfbench/run.py" for _, args in calls) == 6
+    with pytest.raises(SystemExit):
+        module.main(["--parent", str(tmp_path), "--pairs", "1"])
