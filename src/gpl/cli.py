@@ -54,7 +54,7 @@ def _load_train_config(args) -> TrainConfig:
         overrides["seed"] = args.seed
     try:
         return TrainConfig(**overrides)
-    except TrainError as exc:  # the seed is never rejected, so the file is at fault
+    except TrainError as exc:  # main rejects a negative --seed, so the file is at fault
         raise ConfigError(f"{args.config}: {exc}") from exc
 
 

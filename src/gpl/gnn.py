@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .graph import _node_ids
+from .graph import GraphError, _node_ids
 
 LOG_EPS = 1e-12
 ADAM_B1 = 0.9
@@ -21,8 +21,8 @@ BLOCK_BYTES = 256 * 1024
 BLOCK_ALIGN = 64
 
 
-class ClassifierError(ValueError):
-    """Raised for invalid classifier inputs or non-finite losses."""
+class ClassifierError(GraphError):
+    """Raised for invalid classifier inputs or non-finite losses; node ids are graph inputs."""
 
 
 class ClassifierState:
@@ -125,7 +125,8 @@ def pu_loss(z: np.ndarray, positives, negatives) -> float:
     -log(1 - z + eps) over the provisional-negative group; an empty group's
     term is dropped, both empty is an error.
     """
-    return _pu_loss(z[_node_ids(positives)], z[_node_ids(negatives)])
+    pos, neg = _node_ids(z.shape[0], positives, negatives, error=ClassifierError)
+    return _pu_loss(z[pos], z[neg])
 
 
 def loss_gradients(state: ClassifierState, work: Workspace, positives, negatives):
@@ -141,7 +142,7 @@ def loss_gradients(state: ClassifierState, work: Workspace, positives, negatives
     The operator is treated as a constant: no gradient flows to the edge
     mask from the classification loss.
     """
-    pos, neg = _node_ids(positives), _node_ids(negatives)
+    pos, neg = _node_ids(work.h1.shape[0], positives, negatives, error=ClassifierError)
     z = scores(state, work)
     z_pos, z_neg = z[pos], z[neg]
     loss = _pu_loss(z_pos, z_neg)
@@ -199,14 +200,10 @@ def select_top(u_nodes, u_scores, pi_hat: float) -> SelectionResult:
     """
     if not 0.0 <= pi_hat <= 1.0:
         raise ClassifierError("pi_hat must lie in [0, 1]")
-    u = _node_ids(u_nodes)
+    (u,) = _node_ids(None, u_nodes, error=ClassifierError, disjoint=True)
     s = np.asarray(u_scores, dtype=np.float64)
     if u.shape != s.shape:
         raise ClassifierError("node and score arrays must align")
-    ids = np.sort(u)
-    repeats = ids[1:][ids[1:] == ids[:-1]]
-    if repeats.size:
-        raise ClassifierError(f"node id {repeats[0]} appears more than once in U")
     k = int(np.floor(pi_hat * u.size + 0.5))
     order = np.lexsort((u, -s))
     chosen = np.sort(u[order[:k]])

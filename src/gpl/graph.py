@@ -14,6 +14,16 @@ class GraphError(ValueError):
     """Raised for malformed graph inputs."""
 
 
+def _integer(value, name: str, least: int, error) -> int:
+    """value as an int >= least; a boolean or non-integer value is rejected
+    with `error`, not cast."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise error(f"{name} must be >= {least}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SparseGraph:
     """Immutable undirected graph with node features and binary labels.
@@ -65,11 +75,8 @@ def build_graph(n, edges, features, labels) -> SparseGraph:
     before a range error); NaN or infinite features are rejected, naming
     the first offending row.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise GraphError(f"node count must be an integer, got {n!r}")
-    n = int(n)  # a numpy uint64 count would turn the int64 keys into floats
-    if n <= 0:
-        raise GraphError("node count must be positive")
+    # as an int: a numpy uint64 count would turn the int64 keys into floats
+    n = _integer(n, "node count", 1, GraphError)
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
     try:
@@ -129,14 +136,38 @@ class EdgeMask:
         return expit(self.theta)
 
 
-def _node_ids(nodes) -> np.ndarray:
-    """Node ids as an int64 array; int64 arrays pass through without a copy.
-    A boolean or non-integer input is rejected, not cast: a mask would read
-    as the ids 0 and 1. An empty input is an empty set whatever its dtype."""
-    ids = nodes if isinstance(nodes, np.ndarray) else np.asarray(list(nodes))
-    if ids.size and ids.dtype.kind not in "iu":
-        raise GraphError(f"node ids must be integers, got dtype {ids.dtype}")
-    return ids.astype(np.int64, copy=False)
+def _node_ids(n, *sets, error=GraphError, what="node", disjoint=False):
+    """Each set as an int64 array of ids in [0, n), or of non-negative ids if
+    n is None; int64 arrays pass through uncopied. A boolean or non-integer set
+    is rejected, not cast (a mask would read as the ids 0 and 1); an empty
+    one is empty whatever its dtype. With disjoint, no id may appear twice,
+    within or across sets. A fault raises `error`, naming the dtype, the
+    first id out of range, or else the smallest repeated id."""
+    top = 2**63 if n is None else n  # read as uint64, a negative id is at least 2**63
+    out = []
+    for nodes in sets:
+        raw = nodes if isinstance(nodes, np.ndarray) else np.asarray(list(nodes))
+        if raw.size and raw.dtype.kind not in "iu":
+            raise error(f"{what} ids must be integers (not boolean masks), got dtype {raw.dtype}")
+        ids = raw.astype(np.int64, copy=False)
+        if ids.size and ids.view(np.uint64).max() >= top:  # one pass, where min and max take two
+            v = raw[ids.view(np.uint64) >= top][0]
+            raise error(f"{what} id {v} is out of range" + ("" if n is None else f" for {n} nodes"))
+        out.append(ids)
+    if disjoint:
+        ids = np.concatenate(out)
+        if n is not None:  # n marks cost less than a sort, which then only names the id
+            seen = np.zeros(n, dtype=bool)
+            seen[ids] = True
+            if np.count_nonzero(seen) == ids.size:
+                return out
+        ids = np.sort(ids)
+        repeats = ids[1:][ids[1:] == ids[:-1]]
+        if repeats.size and sum(repeats[0] in a for a in out) > 1:
+            raise error(f"{what} sets overlap at node {repeats[0]}")
+        if repeats.size:
+            raise error(f"{what} id {repeats[0]} appears more than once")
+    return out
 
 
 def init_mask(g: SparseGraph) -> EdgeMask:
@@ -296,6 +327,7 @@ def rewire_to_heterophily(g: SparseGraph, target_h: float, seed: int) -> SparseG
         raise GraphError("target heterophily must lie in [0, 1]")
     if g.m == 0:
         raise GraphError("no edges")
+    _integer(seed, "seed", 0, GraphError)
     m = g.m
     pos = np.flatnonzero(g.labels == 1)
     neg = np.flatnonzero(g.labels == -1)

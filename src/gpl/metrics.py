@@ -18,7 +18,7 @@ from .synth import PlantedConfig, generate_planted
 
 def f1_score(pred, truth, eval_set) -> float:
     """F1 of the +1 class over eval_set; 0 when precision + recall is 0."""
-    idx = _node_ids(eval_set)
+    (idx,) = _node_ids(len(pred), eval_set)
     if idx.size == 0:
         raise ValueError("eval_set is empty")
     p = np.asarray(pred)[idx]

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import EdgeMask, SparseGraph, _node_ids, _propagation, propagation_operator
+from .graph import EdgeMask, SparseGraph, _integer, _node_ids, _propagation, propagation_operator
 
 LOG_EPS = 1e-12
 
@@ -27,8 +27,7 @@ class PropagationConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise PropagationError("alpha must lie strictly in (0, 1)")
-        if self.k_prop < 0:
-            raise PropagationError("k_prop must be >= 0")
+        _integer(self.k_prop, "k_prop", 0, PropagationError)
 
 
 def _anchor_beliefs(n: int, positives, negatives) -> np.ndarray:
@@ -55,20 +54,9 @@ def propagate(op: sp.csr_matrix, e0: np.ndarray, cfg: PropagationConfig) -> list
 
 
 def _check_anchor_sets(n: int, positives, negatives):
-    if np.asarray(positives).dtype == bool or np.asarray(negatives).dtype == bool:
-        raise PropagationError("anchor sets must be node ids, not boolean masks")
-    pos = _node_ids(positives)
-    neg = _node_ids(negatives)
+    pos, neg = _node_ids(n, positives, negatives, error=PropagationError, what="anchor", disjoint=True)
     if pos.size == 0:
         raise PropagationError("anchor positive set is empty")
-    ids = np.concatenate([pos, neg])
-    bad = ids[(ids < 0) | (ids >= n)]
-    if bad.size:
-        raise PropagationError(f"anchor id {bad[0]} is out of range for {n} nodes")
-    is_pos = np.zeros(n, dtype=bool)
-    is_pos[pos] = True
-    if is_pos[neg].any():
-        raise PropagationError("anchor positive and negative sets overlap")
     return pos, neg
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphError, SparseGraph, _typed_pairs, build_graph
+from .graph import GraphError, SparseGraph, _integer, _typed_pairs, build_graph
 
 
 class DatasetError(ValueError):
@@ -26,16 +26,14 @@ class PlantedConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2:
-            raise GraphError("n must be >= 2")
+        for name, least in (("n", 2), ("feature_dim", 1), ("seed", 0)):
+            _integer(getattr(self, name), name, least, GraphError)
         if not 0.0 < self.pi_p < 1.0:
             raise GraphError("pi_p must lie strictly in (0, 1)")
         if not 0.0 <= self.h <= 1.0:
             raise GraphError("h must lie in [0, 1]")
         if not 1.0 <= self.avg_degree < np.inf:
             raise GraphError("avg_degree must be finite and >= 1")
-        if self.feature_dim < 1:
-            raise GraphError("feature_dim must be >= 1")
         if not np.isfinite(self.feature_separation):
             raise GraphError("feature_separation must be finite")
 
@@ -117,6 +115,7 @@ def make_pu_split(g: SparseGraph, r_p: float, seed: int) -> PUSplit:
     """
     if not 0.0 < r_p <= 1.0:
         raise DatasetError("r_p must lie in (0, 1]")
+    _integer(seed, "seed", 0, DatasetError)
     pos = np.flatnonzero(g.labels == 1)
     k = int(np.floor(r_p * pos.size + 0.5))
     if k == 0:

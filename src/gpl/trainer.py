@@ -19,7 +19,7 @@ from .gnn import (
     scores,
     select_top,
 )
-from .graph import SparseGraph, _node_ids, gcn_operator, init_mask, propagation_operator
+from .graph import SparseGraph, _integer, _node_ids, gcn_operator, init_mask, propagation_operator
 from .metrics import edge_weight_means, f1_score
 from .propagation import (
     PropagationConfig,
@@ -50,20 +50,17 @@ class TrainConfig:
     hidden: int = 16
 
     def __post_init__(self):
-        if self.outer_epochs < 1:
-            raise TrainError("outer_epochs must be >= 1")
+        _integer(self.outer_epochs, "outer_epochs", 1, TrainError)
         try:
             PropagationConfig(alpha=self.alpha, k_prop=self.k_prop)
         except PropagationError as exc:
             raise TrainError(str(exc)) from exc
-        for name in ("k_inner", "clf_steps_per_epoch", "warmup_steps"):
-            if getattr(self, name) < 0:
-                raise TrainError(f"{name} must be >= 0")
+        for name, least in (("k_inner", 0), ("clf_steps_per_epoch", 0), ("warmup_steps", 0),
+                            ("hidden", 1), ("seed", 0)):
+            _integer(getattr(self, name), name, least, TrainError)
         for name in ("lr_mask", "lr_clf"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise TrainError(f"{name} must be finite and >= 0")
-        if self.hidden < 1:
-            raise TrainError("hidden must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -97,20 +94,9 @@ def trace_to_csv(trace: TrainTrace, path) -> None:
 
 def _check_split(g: SparseGraph, split: PUSplit) -> None:
     """P and U must hold every node id in [0, n) exactly once between them."""
-    ids = np.concatenate([split.P, split.U])
-    bad = ids[(ids < 0) | (ids >= g.n)]
-    if bad.size:
-        raise TrainError(f"split id {bad[0]} is out of range for {g.n} nodes")
-    counts = np.bincount(ids, minlength=g.n)
-    twice = np.flatnonzero(counts > 1)
-    if twice.size:
-        v = twice[0]
-        if v in split.P and v in split.U:
-            raise TrainError(f"observed and unlabeled sets overlap at node {v}")
-        raise TrainError(f"node {v} appears twice in the split")
-    missing = np.flatnonzero(counts == 0)
-    if missing.size:
-        raise TrainError(f"split does not cover node {missing[0]}")
+    ids = np.concatenate(_node_ids(g.n, split.P, split.U, error=TrainError, what="split", disjoint=True))
+    if ids.size < g.n:  # each id is in range and appears once, so one is missing
+        raise TrainError(f"split does not cover node {np.argmin(np.bincount(ids, minlength=g.n))}")
 
 
 def _fit(cfg: TrainConfig, work: Workspace, positives, negatives, steps, state=None):
@@ -121,7 +107,7 @@ def _fit(cfg: TrainConfig, work: Workspace, positives, negatives, steps, state=N
     """
     if state is None:
         state = init_classifier(work.X.shape[1], hidden=cfg.hidden, seed=cfg.seed)
-    positives, negatives = _node_ids(positives), _node_ids(negatives)
+    positives, negatives = _node_ids(work.h1.shape[0], positives, negatives, error=TrainError)
     for _ in range(steps):
         state, loss = backward_and_step(state, work, positives, negatives, cfg.lr_clf)
     z = scores(state, work)

@@ -1,6 +1,7 @@
-"""Every public top-level function and class in src/gpl has a caller outside
-the tests: somewhere in the package, scripts/ or perfbench/ names it other
-than its own definition. The package's __init__ re-exports do not count.
+"""Every public top-level function and class in src/gpl, and every private
+top-level function, has a caller outside the tests: somewhere in the
+package, scripts/ or perfbench/ names it other than its own definition. The
+package's __init__ re-exports do not count.
 Every defaulted parameter of a public src/gpl function is passed by some
 call outside the tests, and omitted by some other, so no default serves only
 the tests. And no module in src/gpl, tests/ or scripts/
@@ -20,13 +21,15 @@ def _names(node):
             yield n.attr
 
 
-def unused_public_names(root=ROOT):
+def _unread(root, wanted):
+    """file:name for each top-level definition in src/gpl that wanted(stmt)
+    picks and that nothing but its own body names."""
     defined, used = {}, set()
     for path in sorted((root / "src" / "gpl").glob("*.py")):
         if path.name == "__init__.py":
             continue
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and wanted(stmt):
                 defined[stmt.name] = path.name
                 used.update(n for n in _names(stmt) if n != stmt.name)
             else:
@@ -35,6 +38,16 @@ def unused_public_names(root=ROOT):
         for path in sorted((root / folder).rglob("*.py")):
             used.update(_names(ast.parse(path.read_text(encoding="utf-8"))))
     return sorted(f"{defined[k]}:{k}" for k in defined if k not in used)
+
+
+def unused_public_names(root=ROOT):
+    return _unread(root, lambda stmt: not stmt.name.startswith("_"))
+
+
+def unused_private_functions(root=ROOT):
+    """file:name for each private top-level function in src/gpl that no code
+    outside the tests calls."""
+    return _unread(root, lambda stmt: isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_"))
 
 
 def _option_passes(root):
@@ -121,6 +134,22 @@ def test_scan_reports_a_name_only_its_own_body_and_init_use(tmp_path):
     (tmp_path / "scripts").mkdir()
     (tmp_path / "scripts" / "s.py").write_text("import gpl.a\ngpl.a.used()\n")
     assert unused_public_names(tmp_path) == ["a.py:dead"]
+
+
+def test_every_private_function_has_a_caller_outside_tests():
+    assert unused_private_functions() == []
+
+
+def test_scan_reports_a_private_function_only_its_own_body_and_tests_use(tmp_path):
+    pkg = tmp_path / "src" / "gpl"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("def _dead(n):\n    return _dead(n - 1)\n\n\n"
+                              "def _used():\n    pass\n\n\n"
+                              "def run():\n    _used()\n\n\n"
+                              "class _Kept:\n    pass\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text("from gpl.a import _dead\n_dead(1)\n")
+    assert unused_private_functions(tmp_path) == ["a.py:_dead"]
 
 
 def test_no_unused_imports():

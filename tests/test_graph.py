@@ -280,6 +280,12 @@ class TestRewire:
             assert r.edges.dtype == want.edges.dtype
             assert r.edges.tobytes() == want.edges.tobytes(), t
 
+    @pytest.mark.parametrize("seed, why", [(-1, "seed must be >= 0"), (2.5, "seed must be an integer, got 2.5")])
+    def test_seed_is_a_checked_integer(self, seed, why):
+        g = _graph(4, [(0, 1), (2, 3)], [1, 1, -1, -1])
+        with pytest.raises(GraphError, match=f"^{re.escape(why)}$"):
+            rewire_to_heterophily(g, 1.0, seed=seed)
+
     def test_unreachable_target_errors(self):
         # 3 positives, 1 negative: at most 3 cross pairs exist, 5 edges wanted
         g = _graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)], [1, 1, 1, -1])

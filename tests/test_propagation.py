@@ -91,6 +91,12 @@ class TestPropagate:
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-10)
         assert (out >= -1e-12).all()
 
+    @pytest.mark.parametrize("k_prop, why", [(2.5, "k_prop must be an integer, got 2.5"),
+                                             (True, "k_prop must be an integer, got True")])
+    def test_k_prop_is_a_checked_integer(self, k_prop, why):
+        with pytest.raises(PropagationError, match=why):
+            PropagationConfig(alpha=0.5, k_prop=k_prop)
+
     def test_alpha_bounds_enforced(self):
         with pytest.raises(PropagationError):
             PropagationConfig(alpha=1.0, k_prop=3)

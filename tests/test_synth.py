@@ -105,6 +105,12 @@ class TestGeneratePlanted:
         (dict(avg_degree=float("nan")), "avg_degree must be finite"),
         (dict(feature_separation=float("nan")), "feature_separation must be finite"),
         (dict(feature_separation=float("-inf")), "feature_separation must be finite"),
+        # counts and the seed are integers, not cast: n=10.5 reported an infeasible h
+        (dict(n=10.5), "n must be an integer, got 10.5"),
+        (dict(n=True), "n must be an integer, got True"),
+        (dict(feature_dim=2.5), "feature_dim must be an integer, got 2.5"),
+        (dict(seed=-1), "seed must be >= 0"),
+        (dict(seed=1.0), "seed must be an integer, got 1.0"),
     ])
     def test_config_rejects(self, bad, why):
         with pytest.raises(GraphError, match=why):
@@ -128,6 +134,12 @@ class TestBinarize:
 
 
 class TestMakePuSplit:
+    @pytest.mark.parametrize("seed, why", [(-1, "seed must be >= 0"), (1.5, "seed must be an integer, got 1.5"),
+                                           (False, "seed must be an integer, got False")])
+    def test_seed_is_a_checked_integer(self, two_blocks, seed, why):
+        with pytest.raises(DatasetError, match=f"^{re.escape(why)}$"):
+            make_pu_split(two_blocks, 0.5, seed=seed)
+
     def test_full_observation(self, two_blocks):
         split = make_pu_split(two_blocks, 1.0, seed=0)
         assert split.pi_true == 0.0

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -55,11 +56,28 @@ class TestConfigValidation:
         (dict(alpha=1.5), "alpha must lie strictly"),
         (dict(alpha=float("nan")), "alpha must lie strictly"),
         (dict(k_prop=-1), "k_prop must be >= 0"),
+        (dict(k_prop=2.5), "k_prop must be an integer, got 2.5"),  # was accepted
     ])
     def test_propagation_settings_checked(self, bad, why):
         # the valid ranges are PropagationConfig's, raised as TrainError
         with pytest.raises(TrainError, match=why):
             TrainConfig(**bad)
+
+    @pytest.mark.parametrize("bad, why", [
+        (dict(hidden=2.5), "hidden must be an integer, got 2.5"),
+        (dict(outer_epochs=1.5), "outer_epochs must be an integer, got 1.5"),
+        (dict(warmup_steps=True), "warmup_steps must be an integer, got True"),
+        (dict(seed=-1), "seed must be >= 0"),
+        (dict(seed=0.5), "seed must be an integer, got 0.5"),
+    ])
+    def test_counts_and_seed_are_checked_integers(self, bad, why):
+        # a float count was accepted or failed inside the run; a negative
+        # seed failed in numpy
+        with pytest.raises(TrainError, match=f"^{re.escape(why)}$"):
+            TrainConfig(**bad)
+
+    def test_numpy_integers_accepted(self):
+        assert TrainConfig(seed=np.int64(3), hidden=np.int32(4)).hidden == 4
 
     def test_zero_steps_allowed(self):
         TrainConfig(k_inner=0, warmup_steps=0, clf_steps_per_epoch=0)
@@ -97,8 +115,23 @@ class TestSplitValidation:
         p = split.P.copy()
         p[1] = p[0]
         bad = PUSplit(P=p, U=split.U, pi_true=split.pi_true)
-        with pytest.raises(TrainError, match=f"node {p[0]} appears twice"):
+        with pytest.raises(TrainError, match=f"split id {p[0]} appears more than once"):
             run_baseline(g, bad, TrainConfig(**FAST))
+
+    @pytest.mark.parametrize("run", [run_gpl, run_baseline])
+    @pytest.mark.parametrize("dtype", ["float64", "bool"])
+    def test_non_integer_u_rejected_naming_dtype(self, run, dtype):
+        # tests/test_node_ids.py feeds the same to P. A float set failed in
+        # np.bincount; a mask was read as the ids 0 and 1.
+        g, split = small_problem(0.3)
+        if dtype == "bool":
+            u = np.zeros(g.n, dtype=bool)
+            u[split.U] = True
+        else:
+            u = split.U.astype(dtype)
+        bad = PUSplit(P=split.P, U=u, pi_true=split.pi_true)
+        with pytest.raises(TrainError, match=f"got dtype {dtype}$"):
+            run(g, bad, TrainConfig(**FAST))
 
     def test_first_missing_node_named(self):
         g, split = small_problem(0.3)
