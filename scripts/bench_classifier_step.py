@@ -22,6 +22,8 @@ to --out, by default BENCH_classifier_step.json at the root of this tree.
 """
 
 import argparse
+import functools
+import inspect
 import json
 import os
 import statistics
@@ -43,21 +45,29 @@ OUT = os.path.join(ROOT, "BENCH_classifier_step.json")
 
 
 def step_times() -> dict:
-    """Best per-step microseconds of backward_and_step for the gpl on sys.path."""
+    """Best per-step microseconds of backward_and_step for the gpl on sys.path.
+    The call form follows that tree's signature: the id sets go to the
+    Workspace where backward_and_step(state, work, lr) takes none, and to
+    each step where it is backward_and_step(state, work, positives,
+    negatives, lr)."""
     from gpl.gnn import Workspace, backward_and_step, init_classifier
     from gpl.graph import gcn_operator
     from gpl.synth import PlantedConfig, generate_planted, make_pu_split
 
+    ids_per_step = "positives" in inspect.signature(backward_and_step).parameters
     out = {}
     for name, (n, d, degree, number) in STEP_SHAPES.items():
         g = generate_planted(PlantedConfig(n=n, h=0.7, avg_degree=degree, feature_dim=d, seed=0))
         split = make_pu_split(g, 0.5, seed=0)
         op = gcn_operator(g, None)
-        work = Workspace(op, g.features, 16)
         state = init_classifier(d, 16, seed=0)
-        times = timeit.repeat(
-            lambda: backward_and_step(state, work, split.P, split.U, 0.01),
-            number=number, repeat=5)
+        if ids_per_step:
+            work = Workspace(op, g.features, 16)
+            step = functools.partial(backward_and_step, state, work, split.P, split.U, 0.01)
+        else:
+            work = Workspace(op, g.features, 16, split.P, split.U)
+            step = functools.partial(backward_and_step, state, work, 0.01)
+        times = timeit.repeat(step, number=number, repeat=5)
         out[name] = 1e6 * min(times) / number
     return out
 

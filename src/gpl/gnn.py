@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .graph import GraphError, _node_ids
+from .graph import GraphError, _integer, _node_ids
 
 LOG_EPS = 1e-12
 ADAM_B1 = 0.9
@@ -45,7 +45,9 @@ class ClassifierState:
 def init_classifier(d_in: int, hidden: int, seed: int) -> ClassifierState:
     """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)], seeded. W1 and b1
     share a scale, and so do W2 and b2, so one draw fills each pair."""
-    rng = np.random.default_rng(seed)
+    d_in = _integer(d_in, "d_in", 1, ClassifierError)
+    hidden = _integer(hidden, "hidden", 1, ClassifierError)
+    rng = np.random.default_rng(_integer(seed, "seed", 0, ClassifierError))
     s1 = 1.0 / np.sqrt(d_in)
     s2 = 1.0 / np.sqrt(hidden)
     state = ClassifierState(d_in, hidden)
@@ -56,15 +58,17 @@ def init_classifier(d_in: int, hidden: int, seed: int) -> ClassifierState:
 
 class Workspace:
     """Everything a classifier step reads besides the parameters, for one
-    operator `op`, feature matrix `X` and hidden size, built once per fit:
-    xs1T = [op @ X | 1].T, the first aggregation with a ones row, held
-    contiguous as (D+1) x n (scores multiplies its .T view by [W1; b1], so
-    the bias comes with the product); opT = op.T, a view sharing op's
-    arrays, for the outer adjoint; and one n x hidden scratch array h1,
-    which every call writes before it reads. A step walks h1 in `blocks`,
-    row slices of about BLOCK_BYTES each, a whole number of BLOCK_ALIGN
-    rows (the last may be shorter), so each of its passes over the hidden
-    layer can stay in a per-core L2 cache.
+    operator `op`, feature matrix `X`, hidden size and the fit's id sets,
+    built once per fit: pos and neg, the positive and provisional-negative
+    ids as int64 arrays, read once here with graph._node_ids; xs1T =
+    [op @ X | 1].T, the first aggregation with a ones row, held contiguous
+    as (D+1) x n (scores multiplies its .T view by [W1; b1], so the bias
+    comes with the product); opT = op.T, a view sharing op's arrays, for
+    the outer adjoint; and one n x hidden scratch array h1, which every
+    call writes before it reads. A step walks h1 in `blocks`, row slices of
+    about BLOCK_BYTES each, a whole number of BLOCK_ALIGN rows (the last
+    may be shorter), so each of its passes over the hidden layer can stay
+    in a per-core L2 cache.
 
     Sharing a workspace leaves every result bit for bit the same. Against
     the textbook step (xs @ W1 + b1, a column sum for the b1 gradient), and
@@ -73,13 +77,19 @@ class Workspace:
     and those sums taken per block, can move in the last bits.
     """
 
-    def __init__(self, op, X, hidden: int):
+    def __init__(self, op, X, hidden: int, positives=(), negatives=()):
+        if X.ndim != 2:
+            raise ClassifierError(f"X must be an n x D feature matrix, got shape {X.shape}")
+        n = X.shape[0]
+        if op.shape != (n, n):
+            raise ClassifierError(f"operator is {op.shape[0]} x {op.shape[1]} but X has {n} rows")
+        hidden = _integer(hidden, "hidden", 1, ClassifierError)
+        self.pos, self.neg = _node_ids(n, positives, negatives, error=ClassifierError)
         self.op, self.X = op, X
         self.opT = op.T
-        n = op.shape[0]
         self.xs1T = np.vstack([(op @ X).T, np.ones(n)])
         self.h1 = np.empty((n, hidden))
-        rows = max(1, BLOCK_BYTES // (8 * BLOCK_ALIGN * max(hidden, 1))) * BLOCK_ALIGN
+        rows = max(1, BLOCK_BYTES // (8 * BLOCK_ALIGN * hidden)) * BLOCK_ALIGN
         self.blocks = [slice(i, i + rows) for i in range(0, n, rows)]
 
 
@@ -112,9 +122,9 @@ def _pu_loss(z_pos: np.ndarray, z_neg: np.ndarray) -> float:
         raise ClassifierError("both groups empty")
     loss = 0.0
     if z_pos.size:
-        loss -= float(np.mean(np.log(z_pos + LOG_EPS)))
+        loss -= float(np.log(z_pos + LOG_EPS).sum() / z_pos.size)
     if z_neg.size:
-        loss -= float(np.mean(np.log(1.0 - z_neg + LOG_EPS)))
+        loss -= float(np.log(1.0 - z_neg + LOG_EPS).sum() / z_neg.size)
     return loss
 
 
@@ -129,8 +139,9 @@ def pu_loss(z: np.ndarray, positives, negatives) -> float:
     return _pu_loss(z[pos], z[neg])
 
 
-def loss_gradients(state: ClassifierState, work: Workspace, positives, negatives):
-    """Exact gradient of pu_loss on scores(state, work) in every parameter.
+def loss_gradients(state: ClassifierState, work: Workspace):
+    """Exact gradient of pu_loss on scores(state, work) over work's id sets
+    in every parameter.
     Returns (grad, loss), with grad laid out like state.theta.
 
     W2 comes out of the first layer's n-long sums: with dq the outer adjoint
@@ -142,7 +153,7 @@ def loss_gradients(state: ClassifierState, work: Workspace, positives, negatives
     The operator is treated as a constant: no gradient flows to the edge
     mask from the classification loss.
     """
-    pos, neg = _node_ids(work.h1.shape[0], positives, negatives, error=ClassifierError)
+    pos, neg = work.pos, work.neg
     z = scores(state, work)
     z_pos, z_neg = z[pos], z[neg]
     loss = _pu_loss(z_pos, z_neg)
@@ -168,21 +179,34 @@ def loss_gradients(state: ClassifierState, work: Workspace, positives, negatives
     return np.concatenate([g1.ravel(), g2.ravel(), [dpre2.sum()]]), loss
 
 
-def backward_and_step(state: ClassifierState, work: Workspace, positives, negatives, lr: float):
-    """One exact-gradient Adam step on pu_loss over work's operator and
-    features. Returns (state, loss), the loss taken before the step.
+def backward_and_step(state: ClassifierState, work: Workspace, lr: float):
+    """One exact-gradient Adam step on pu_loss over work's operator,
+    features and id sets. Returns (state, loss), the loss taken before the
+    step.
 
+    The moments and theta are updated in place, each product in the
+    textbook operand order, so the bits are those of the textbook update.
     lr=0 leaves the parameters unchanged.
     """
     if lr < 0:
         raise ClassifierError("lr must be >= 0")
-    grad, loss = loss_gradients(state, work, positives, negatives)
+    grad, loss = loss_gradients(state, work)
     state.t += 1
-    state.adam_m = ADAM_B1 * state.adam_m + (1 - ADAM_B1) * grad
-    state.adam_v = ADAM_B2 * state.adam_v + (1 - ADAM_B2) * grad * grad
-    mhat = state.adam_m / (1 - ADAM_B1**state.t)
-    vhat = state.adam_v / (1 - ADAM_B2**state.t)
-    state.theta -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    m, v = state.adam_m, state.adam_v
+    tmp = np.multiply(1 - ADAM_B2, grad)
+    tmp *= grad
+    v *= ADAM_B2
+    v += tmp  # B2 * v + (1 - B2) * grad * grad
+    grad *= 1 - ADAM_B1
+    m *= ADAM_B1
+    m += grad  # B1 * m + (1 - B1) * grad
+    step = np.divide(m, 1 - ADAM_B1**state.t, out=grad)  # mhat
+    step *= lr
+    vhat = np.divide(v, 1 - ADAM_B2**state.t, out=tmp)
+    np.sqrt(vhat, out=vhat)
+    vhat += ADAM_EPS
+    step /= vhat  # lr * mhat / (sqrt(vhat) + eps)
+    state.theta -= step
     return state, loss
 
 

@@ -10,17 +10,20 @@ import numpy as np
 from scipy.special import logit
 
 from .gnn import Workspace, forward, init_classifier, loss_gradients, pu_loss
-from .graph import (EdgeMask, SparseGraph, _edge_weights, _node_ids, build_graph, gcn_operator,
+from .graph import (EdgeMask, GraphError, SparseGraph, _edge_weights, _node_ids, build_graph, gcn_operator,
                     propagation_operator)
 from .propagation import PropagationConfig, _anchor_beliefs, _lpl_at, lpl_gradient, propagate
 from .synth import PlantedConfig, generate_planted
 
 
 def f1_score(pred, truth, eval_set) -> float:
-    """F1 of the +1 class over eval_set; 0 when precision + recall is 0."""
+    """F1 of the +1 class over eval_set; 0 when precision + recall is 0.
+    pred and truth must have the same length."""
+    if len(pred) != len(truth):
+        raise GraphError(f"pred has {len(pred)} entries but truth has {len(truth)}")
     (idx,) = _node_ids(len(pred), eval_set)
     if idx.size == 0:
-        raise ValueError("eval_set is empty")
+        raise GraphError("eval_set is empty")
     p = np.asarray(pred)[idx]
     t = np.asarray(truth)[idx]
     tp = int(np.sum((p == 1) & (t == 1)))
@@ -240,7 +243,7 @@ def check_clf_gradient_suite() -> CheckResult:
         nodes = rng.permutation(n)
         k = int(rng.integers(1, n))
         pos, neg = nodes[:k], nodes[k:]
-        grad, _ = loss_gradients(state, Workspace(op, X, 3), pos, neg)
+        grad, _ = loss_gradients(state, Workspace(op, X, 3, pos, neg))
         return _rel_err(grad, fd_classifier_gradients(state, op, X, pos, neg))
 
     return _suite("clf_gradient_fd", 20, 2, 1e-4, measure)

@@ -99,20 +99,19 @@ def _check_split(g: SparseGraph, split: PUSplit) -> None:
         raise TrainError(f"split does not cover node {np.argmin(np.bincount(ids, minlength=g.n))}")
 
 
-def _fit(cfg: TrainConfig, work: Workspace, positives, negatives, steps, state=None):
-    """Run `steps` Adam updates on pu_loss over work's operator and features,
-    from `state`, or from the classifier seeded by cfg when state is None.
-    Returns (state, loss, z): the loss taken before the last update, or at
-    the start if steps is 0, and the scores after the last one.
+def _fit(cfg: TrainConfig, work: Workspace, steps, state=None):
+    """Run `steps` Adam updates on pu_loss over work's operator, features
+    and id sets, from `state`, or from the classifier seeded by cfg when
+    state is None. Returns (state, loss, z): the loss taken before the last
+    update, or at the start if steps is 0, and the scores after the last one.
     """
     if state is None:
         state = init_classifier(work.X.shape[1], hidden=cfg.hidden, seed=cfg.seed)
-    positives, negatives = _node_ids(work.h1.shape[0], positives, negatives, error=TrainError)
     for _ in range(steps):
-        state, loss = backward_and_step(state, work, positives, negatives, cfg.lr_clf)
+        state, loss = backward_and_step(state, work, cfg.lr_clf)
     z = scores(state, work)
     if steps == 0:
-        loss = pu_loss(z, positives, negatives)
+        loss = pu_loss(z, work.pos, work.neg)
     return state, loss, z
 
 
@@ -136,7 +135,7 @@ def _warm_start(g: SparseGraph, split: PUSplit, cfg: TrainConfig, op):
     Near-constant scores trigger a warning: the ratio curve then degenerates
     to 1 everywhere, so the estimate comes out as 1.
     """
-    _, _, z = _fit(cfg, Workspace(op, g.features, cfg.hidden), split.P, split.U, cfg.warmup_steps)
+    _, _, z = _fit(cfg, Workspace(op, g.features, cfg.hidden, split.P, split.U), cfg.warmup_steps)
     if float(np.ptp(z)) < 1e-9:
         warnings.warn(
             "classifier scores are near-constant; the prior estimate is "
@@ -185,8 +184,8 @@ def run_gpl(g: SparseGraph, split: PUSplit, cfg: TrainConfig):
         # compound: each epoch the classifier pushes the unselected positives
         # further down, the next selection trusts those scores, and the
         # estimate decays toward zero.
-        work = Workspace(gcn_operator(g, mask), g.features, cfg.hidden)
-        clf, clf_loss, z = _fit(cfg, work, pos_anchor, neg_anchor, cfg.clf_steps_per_epoch)
+        work = Workspace(gcn_operator(g, mask), g.features, cfg.hidden, pos_anchor, neg_anchor)
+        clf, clf_loss, z = _fit(cfg, work, cfg.clf_steps_per_epoch)
         prior, row = _epoch_row(g, split, edge_weight_means(g, mask), epoch, lpl, clf_loss, z)
         sel = select_top(split.U, z[split.U], prior.pi_hat)
         rows.append(row)
@@ -200,13 +199,13 @@ def run_baseline(g: SparseGraph, split: PUSplit, cfg: TrainConfig):
     The per-epoch π̂ column is observational (estimated from the scores, fed
     back into nothing)."""
     _check_split(g, split)
-    work = Workspace(gcn_operator(g, None), g.features, cfg.hidden)
+    work = Workspace(gcn_operator(g, None), g.features, cfg.hidden, split.P, split.U)
     means = edge_weight_means(g, None)  # unit weights, the same every epoch
-    clf, _, _ = _fit(cfg, work, split.P, split.U, cfg.warmup_steps)
+    clf, _, _ = _fit(cfg, work, cfg.warmup_steps)
 
     rows = []
     for epoch in range(1, cfg.outer_epochs + 1):
-        clf, clf_loss, z = _fit(cfg, work, split.P, split.U, cfg.clf_steps_per_epoch, clf)
+        clf, clf_loss, z = _fit(cfg, work, cfg.clf_steps_per_epoch, clf)
         rows.append(_epoch_row(g, split, means, epoch, float("nan"), clf_loss, z)[1])
 
     return clf, TrainTrace(tuple(rows))

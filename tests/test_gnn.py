@@ -68,6 +68,20 @@ class TestLayout:
         assert not state.adam_m.any() and not state.adam_v.any() and state.t == 0
 
 
+class TestInitChecks:
+    @pytest.mark.parametrize("args, named", [
+        ((3, 2.5, 0), "hidden must be an integer, got 2.5"),
+        ((3, 4, -1), "seed must be >= 0"),
+        ((0, 4, 0), "d_in must be >= 1"),
+        ((3, 0, 0), "hidden must be >= 1"),
+        ((3.0, 4, 0), "d_in must be an integer"),
+        ((3, 4, True), "seed must be an integer"),
+    ])
+    def test_bad_sizes_and_seeds_rejected(self, args, named):
+        with pytest.raises(ClassifierError, match=named):
+            init_classifier(*args)
+
+
 class TestForward:
     def test_zero_weights_give_half(self):
         rng = np.random.default_rng(0)
@@ -202,7 +216,7 @@ class TestBackward:
         state = init_classifier(3, 3, seed=1)
         before = {k: v.copy() for k, v in state.params().items()}
         op = gcn_operator(g, None)
-        state, loss = backward_and_step(state, Workspace(op, g.features, 3), [0, 1], [4, 5], 0.0)
+        state, loss = backward_and_step(state, Workspace(op, g.features, 3, [0, 1], [4, 5]), 0.0)
         for k, v in state.params().items():
             np.testing.assert_array_equal(v, before[k])
         assert np.isfinite(loss)
@@ -214,7 +228,7 @@ class TestBackward:
             state = init_classifier(3, 3, seed=trial)
             op = gcn_operator(g, None)
             pos, neg = [0, 1], [4, 5]
-            grad, _ = loss_gradients(state, Workspace(op, g.features, 3), pos, neg)
+            grad, _ = loss_gradients(state, Workspace(op, g.features, 3, pos, neg))
             g_num = fd_classifier_gradients(state, op, g.features, pos, neg)
             big = np.abs(g_num) > 1e-8
             assert big.any()
@@ -225,9 +239,8 @@ class TestBackward:
                                             (np.array([0.0, 4.5]), "float64")])
     def test_mask_or_float_ids_rejected(self, ids, dtype):
         g = random_test_graph(np.random.default_rng(2), 6, 0.3)
-        work = Workspace(gcn_operator(g, None), g.features, 3)
         with pytest.raises(GraphError, match=f"got dtype {dtype}"):
-            loss_gradients(init_classifier(3, 3, seed=0), work, ids, [4, 5])
+            loss_gradients(init_classifier(3, 3, seed=0), Workspace(gcn_operator(g, None), g.features, 3, ids, [4, 5]))
 
     def test_separable_graph_trains_to_low_loss(self):
         cfg = PlantedConfig(n=80, pi_p=0.5, h=0.1, avg_degree=6,
@@ -236,19 +249,19 @@ class TestBackward:
         pos = np.flatnonzero(g.labels == 1)
         neg = np.flatnonzero(g.labels == -1)
         state = init_classifier(4, 8, seed=0)
-        work = Workspace(gcn_operator(g, None), g.features, 8)
+        work = Workspace(gcn_operator(g, None), g.features, 8, pos, neg)
         loss = None
         for _ in range(200):
-            state, loss = backward_and_step(state, work, pos, neg, 0.01)
+            state, loss = backward_and_step(state, work, 0.01)
         assert loss < 0.1
 
     def test_adam_steps_advance_counter(self):
         rng = np.random.default_rng(4)
         g = random_test_graph(rng, 5, 0.3)
         state = init_classifier(3, 3, seed=0)
-        work = Workspace(gcn_operator(g, None), g.features, 3)
-        state, _ = backward_and_step(state, work, [0], [4], 0.01)
-        state, _ = backward_and_step(state, work, [0], [4], 0.01)
+        work = Workspace(gcn_operator(g, None), g.features, 3, [0], [4])
+        state, _ = backward_and_step(state, work, 0.01)
+        state, _ = backward_and_step(state, work, 0.01)
         assert state.t == 2
 
 
@@ -264,18 +277,18 @@ class TestWorkspace:
         g, op, pos, neg = self.problem(300)
         fresh = init_classifier(g.features.shape[1], hidden, seed=2)
         shared = init_classifier(g.features.shape[1], hidden, seed=2)
-        work = Workspace(op, g.features, hidden)
+        work = Workspace(op, g.features, hidden, pos, neg)
         for _ in range(25):
-            fresh, loss_a = backward_and_step(fresh, Workspace(op, g.features, hidden), pos, neg, 0.05)
-            shared, loss_b = backward_and_step(shared, work, pos, neg, 0.05)
+            fresh, loss_a = backward_and_step(fresh, Workspace(op, g.features, hidden, pos, neg), 0.05)
+            shared, loss_b = backward_and_step(shared, work, 0.05)
             assert loss_a == loss_b
         for k, p in fresh.params().items():
             np.testing.assert_array_equal(shared.params()[k], p, err_msg=k)
             np.testing.assert_array_equal(named(shared.adam_m, shared)[k], named(fresh.adam_m, fresh)[k])
             np.testing.assert_array_equal(named(shared.adam_v, shared)[k], named(fresh.adam_v, fresh)[k])
         np.testing.assert_array_equal(scores(shared, work), forward(fresh, op, g.features))
-        grads_a = named(loss_gradients(fresh, Workspace(op, g.features, hidden), pos, neg)[0], fresh)
-        grads_b = named(loss_gradients(fresh, work, pos, neg)[0], fresh)
+        grads_a = named(loss_gradients(fresh, Workspace(op, g.features, hidden, pos, neg))[0], fresh)
+        grads_b = named(loss_gradients(fresh, work)[0], fresh)
         for k in grads_a:
             np.testing.assert_array_equal(grads_b[k], grads_a[k], err_msg=k)
 
@@ -284,28 +297,55 @@ class TestWorkspace:
         # workspace must not read it
         g, op, pos, neg = self.problem(300)
         state = init_classifier(g.features.shape[1], 16, seed=1)
-        work = Workspace(op, g.features, 16)
+        work = Workspace(op, g.features, 16, pos, neg)
         for _ in range(3):
-            backward_and_step(state, work, pos, neg, 0.05)
+            backward_and_step(state, work, 0.05)
             np.testing.assert_array_equal(scores(state, work), scores(state, Workspace(op, g.features, 16)))
 
     def test_repeated_gradients_on_one_workspace_are_identical(self):
         g, op, pos, neg = self.problem(300)
         state = init_classifier(g.features.shape[1], 16, seed=1)
-        work = Workspace(op, g.features, 16)
-        grad_a, loss_a = loss_gradients(state, work, pos, neg)
-        grad_b, loss_b = loss_gradients(state, work, pos, neg)
+        work = Workspace(op, g.features, 16, pos, neg)
+        grad_a, loss_a = loss_gradients(state, work)
+        grad_b, loss_b = loss_gradients(state, work)
         assert loss_a == loss_b
         np.testing.assert_array_equal(grad_b, grad_a)
 
     def test_workspace_for_another_fit_rejected(self):
         g, op, pos, neg = self.problem(60)
         state = init_classifier(g.features.shape[1], 4, seed=0)
-        work = Workspace(op, g.features, 5)
+        work = Workspace(op, g.features, 5, pos, neg)
         with pytest.raises(ClassifierError, match="4 columns but the workspace holds 5 hidden units"):
-            backward_and_step(state, work, pos, neg, 0.01)
+            backward_and_step(state, work, 0.01)
         with pytest.raises(ClassifierError, match="workspace"):
             scores(state, work)
+
+    @pytest.mark.parametrize("shape", [(5, 5), (4, 5), (5, 4)])
+    def test_operator_must_be_n_by_n(self, shape):
+        op = sp.csr_matrix(shape)
+        with pytest.raises(ClassifierError, match=f"operator is {shape[0]} x {shape[1]} but X has 4 rows"):
+            Workspace(op, np.zeros((4, 2)), 3)
+
+    def test_features_must_be_a_matrix(self):
+        with pytest.raises(ClassifierError, match=r"n x D feature matrix, got shape \(4,\)"):
+            Workspace(sp.identity(4, format="csr"), np.zeros(4), 3)
+
+    @pytest.mark.parametrize("hidden, named", [(0, "hidden must be >= 1"), (-2, "hidden must be >= 1"),
+                                               (2.0, "hidden must be an integer")])
+    def test_hidden_must_be_a_positive_integer(self, hidden, named):
+        with pytest.raises(ClassifierError, match=named):
+            Workspace(sp.identity(4, format="csr"), np.zeros((4, 2)), hidden)
+
+    def test_ids_are_read_once_into_the_workspace(self):
+        g, op, pos, neg = self.problem(60)
+        work = Workspace(op, g.features, 4, list(pos), neg)
+        assert work.pos.dtype == work.neg.dtype == np.int64
+        np.testing.assert_array_equal(work.pos, pos)
+        assert work.neg is neg  # int64 ids pass through uncopied
+        empty = Workspace(op, g.features, 4)
+        assert empty.pos.size == empty.neg.size == 0
+        with pytest.raises(ClassifierError, match="both groups empty"):
+            loss_gradients(init_classifier(g.features.shape[1], 4, seed=0), empty)
 
     def test_feature_width_mismatch_names_both_widths(self):
         rng = np.random.default_rng(0)
@@ -315,19 +355,19 @@ class TestWorkspace:
         with pytest.raises(ClassifierError, match="W1 has 5 rows but X has 3 feature columns"):
             forward(state, op, g.features)
         with pytest.raises(ClassifierError, match="5 rows.*3 feature columns"):
-            loss_gradients(state, Workspace(op, g.features, 4), [0], [1])
+            loss_gradients(state, Workspace(op, g.features, 4, [0], [1]))
         with pytest.raises(ClassifierError, match="5 rows.*3 feature columns"):
-            backward_and_step(state, Workspace(op, g.features, 4), [0], [1], 0.01)
+            backward_and_step(state, Workspace(op, g.features, 4, [0], [1]), 0.01)
 
     def test_step_on_a_shared_workspace_allocates_less_than_one_hidden_layer(self):
         n, hidden = 4000, 16
         g, op, pos, neg = self.problem(n)
         state = init_classifier(g.features.shape[1], hidden, seed=0)
-        work = Workspace(op, g.features, hidden)
-        backward_and_step(state, work, pos, neg, 0.01)
+        work = Workspace(op, g.features, hidden, pos, neg)
+        backward_and_step(state, work, 0.01)
         tracemalloc.start()
         try:
-            backward_and_step(state, work, pos, neg, 0.01)
+            backward_and_step(state, work, 0.01)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -365,7 +405,7 @@ class TestAgainstTextbookStep:
         for p in state.params().values():  # move off the init so both relu sides occur
             p += 0.3 * rng.normal(size=p.shape)
         ref, ref_loss, ref_z = textbook_step(state, op, g.features, split.P, split.U)
-        grad, loss = loss_gradients(state, Workspace(op, g.features, 16), split.P, split.U)
+        grad, loss = loss_gradients(state, Workspace(op, g.features, 16, split.P, split.U))
         grads = named(grad, state)
         assert loss == ref_loss
         np.testing.assert_array_equal(forward(state, op, g.features), ref_z)
@@ -383,7 +423,7 @@ class TestAgainstTextbookStep:
         # whole vector must give the same bits
         g = generate_planted(PlantedConfig(n=300, h=0.7, avg_degree=10, seed=1))
         split = make_pu_split(g, 0.5, seed=1)
-        work = Workspace(gcn_operator(g, None), g.features, 16)
+        work = Workspace(gcn_operator(g, None), g.features, 16, split.P, split.U)
         d_in = g.features.shape[1]
         state = init_classifier(d_in, 16, seed=3)
         probe = init_classifier(d_in, 16, seed=3)  # gradients at the reference parameters
@@ -392,7 +432,7 @@ class TestAgainstTextbookStep:
         v = {k: np.zeros_like(p) for k, p in params.items()}
         for t in range(1, 26):
             probe.theta[:] = np.concatenate([p.ravel() for p in params.values()])
-            grads = named(loss_gradients(probe, work, split.P, split.U)[0], probe)
+            grads = named(loss_gradients(probe, work)[0], probe)
             for k, p in params.items():
                 gk = grads[k]
                 m[k] = ADAM_B1 * m[k] + (1 - ADAM_B1) * gk
@@ -400,11 +440,37 @@ class TestAgainstTextbookStep:
                 mhat = m[k] / (1 - ADAM_B1**t)
                 vhat = v[k] / (1 - ADAM_B2**t)
                 p -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-            state, _ = backward_and_step(state, work, split.P, split.U, lr)
+            state, _ = backward_and_step(state, work, lr)
         assert state.t == 25
         assert not np.array_equal(state.theta, init_classifier(d_in, 16, seed=3).theta)
         for vec, blocks in ((state.theta, params), (state.adam_m, m), (state.adam_v, v)):
             np.testing.assert_array_equal(vec, np.concatenate([b.ravel() for b in blocks.values()]))
+
+
+    def test_in_place_adam_matches_the_textbook_update_for_200_steps(self):
+        # the textbook update on whole vectors, fed the same gradients; the
+        # step writes the moments and theta in place, in the same operand order
+        g = generate_planted(PlantedConfig(n=300, h=0.7, avg_degree=10, seed=2))
+        split = make_pu_split(g, 0.5, seed=2)
+        work = Workspace(gcn_operator(g, None), g.features, 16, split.P, split.U)
+        d_in, lr = g.features.shape[1], 0.02
+        state = init_classifier(d_in, 16, seed=4)
+        probe = init_classifier(d_in, 16, seed=4)
+        theta, m, v = state.theta.copy(), np.zeros_like(state.theta), np.zeros_like(state.theta)
+        arrays = (state.theta, state.adam_m, state.adam_v)
+        for t in range(1, 201):
+            probe.theta[:] = theta
+            grad = loss_gradients(probe, work)[0]
+            m = ADAM_B1 * m + (1 - ADAM_B1) * grad
+            v = ADAM_B2 * v + (1 - ADAM_B2) * grad * grad
+            mhat = m / (1 - ADAM_B1**t)
+            vhat = v / (1 - ADAM_B2**t)
+            theta = theta - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            state, _ = backward_and_step(state, work, lr)
+        assert state.t == 200
+        assert all(a is b for a, b in zip((state.theta, state.adam_m, state.adam_v), arrays))
+        for got, want in ((state.theta, theta), (state.adam_m, m), (state.adam_v, v)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestRowBlocks:
@@ -442,13 +508,13 @@ class TestRowBlocks:
         1024 * 128])   # n below one block
     def test_blocks_match_one_block(self, n, block_bytes, monkeypatch):
         g, split, op, state = self.problem(n)
-        one = Workspace(op, g.features, 16)
+        one = Workspace(op, g.features, 16, split.P, split.U)
         assert len(one.blocks) == 1
         monkeypatch.setattr(gnn, "BLOCK_BYTES", block_bytes)
-        work = Workspace(op, g.features, 16)
+        work = Workspace(op, g.features, 16, split.P, split.U)
         np.testing.assert_array_equal(scores(state, work), scores(state, one))
-        grad, loss = loss_gradients(state, work, split.P, split.U)
-        grad_one, loss_one = loss_gradients(state, one, split.P, split.U)
+        grad, loss = loss_gradients(state, work)
+        grad_one, loss_one = loss_gradients(state, one)
         assert loss == loss_one
         got, want = named(grad, state), named(grad_one, state)
         ref = textbook_step(state, op, g.features, split.P, split.U)[0]
@@ -458,7 +524,7 @@ class TestRowBlocks:
         for k in ("W1", "b1"):  # the bound of TestAgainstTextbookStep
             assert np.abs(got[k] - ref[k]).max() <= 1e-13 * np.abs(ref[k]).max(), k
         # a step overwrites every block; the next scores must rebuild them all
-        backward_and_step(state, work, split.P, split.U, 0.05)
+        backward_and_step(state, work, 0.05)
         np.testing.assert_array_equal(scores(state, work), scores(state, Workspace(op, g.features, 16)))
 
     @pytest.mark.parametrize("block_bytes", [1, 128 * 128, 256 * 1024])
@@ -503,9 +569,9 @@ class TestCheckpoint:
         rng = np.random.default_rng(0)
         g = random_test_graph(rng, 6, 0.3)
         state = init_classifier(3, 4, seed=3)
-        work = Workspace(gcn_operator(g, None), g.features, 4)
+        work = Workspace(gcn_operator(g, None), g.features, 4, [0, 1], [4, 5])
         for _ in range(3):
-            state, _ = backward_and_step(state, work, [0, 1], [4, 5], 0.01)
+            state, _ = backward_and_step(state, work, 0.01)
         path = tmp_path / "model.ckpt"
         save_checkpoint(state, path)
         blocks = read_checkpoint(path)

@@ -79,6 +79,17 @@ class TestF1:
             f1_score(pred, truth, eval_set)
         assert f1_score(pred, truth, [0, 2]) == 1.0
 
+    def test_lengths_must_agree(self):
+        with pytest.raises(GraphError, match="pred has 3 entries but truth has 1"):
+            f1_score(np.array([1, 1, 1]), np.array([1]), [2])
+        with pytest.raises(GraphError, match="pred has 1 entries but truth has 3"):
+            f1_score(np.array([1]), np.array([1, 1, 1]), [0])
+
+    def test_empty_eval_set_is_a_graph_error(self):
+        truth = np.array([1, -1])
+        with pytest.raises(GraphError, match="eval_set is empty"):
+            f1_score(truth, truth, [])
+
 
 class TestHeterophilyInfluence:
     def test_disconnected_zero(self):

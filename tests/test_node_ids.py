@@ -47,7 +47,7 @@ CALLS = {
     "pu_loss": (ClassifierError, False, lambda ids: pu_loss(np.full(N, 0.5), [5], ids)),
     "loss_gradients": (ClassifierError, False,
                        lambda ids: loss_gradients(init_classifier(2, 3, seed=0),
-                                                  Workspace(gcn_operator(G, None), G.features, 3), ids, [5])),
+                                                  Workspace(gcn_operator(G, None), G.features, 3, ids, [5]))),
     "f1_score": (GraphError, False, lambda ids: f1_score(LABELS, LABELS, ids)),
     "select_top": (ClassifierError, True, lambda ids: select_top(ids, np.zeros(len(ids)), 0.5)),
     "run_gpl": (TrainError, True, lambda ids: run_gpl(G, _split(ids), TRAIN)),

@@ -1,7 +1,8 @@
 """Smoke runs of the scripts at tiny sizes: each figure script's run(args)
 exits 0 and writes its CSVs, and bench_classifier_step.py's step timer
-returns one time per shape. That script's paired benchmark runs are only
-checked with a stand-in for subprocess.run: for real they take minutes."""
+returns one time per shape, in the call form of the tree it times. That
+script's paired benchmark runs are only checked with a stand-in for
+subprocess.run: for real they take minutes."""
 
 import csv
 import importlib.util
@@ -10,6 +11,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+
+import gpl.gnn
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -51,6 +54,26 @@ def test_bench_step_timer_times_each_size(monkeypatch):
     monkeypatch.setattr(module, "STEP_SHAPES", {"200": (200, 8, 10.0, 3), "wide": (100, 40, 3.9, 2)})
     times = module.step_times()
     assert list(times) == ["200", "wide"] and min(times.values()) > 0
+
+
+def test_bench_step_timer_takes_the_old_call_form(monkeypatch):
+    # a parent tree whose backward_and_step takes the id sets on every step
+    # and whose Workspace takes none is timed in its own call form
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    module = load("bench_classifier_step")
+    monkeypatch.setattr(module, "STEP_SHAPES", {"200": (200, 8, 10.0, 3)})
+    calls = []
+
+    def backward_and_step(state, work, positives, negatives, lr):
+        calls.append((work.pos.size, len(positives), len(negatives), lr))
+        return state, 0.0
+
+    monkeypatch.setattr(gpl.gnn, "backward_and_step", backward_and_step)
+    times = module.step_times()
+    assert list(times) == ["200"] and times["200"] > 0
+    assert len(calls) == 5 * 3
+    no_ids, n_pos, n_neg, lr = calls[0]
+    assert no_ids == 0 and n_pos > 0 and n_pos + n_neg == 200 and lr == 0.01
 
 
 def bench_stub(module, monkeypatch):

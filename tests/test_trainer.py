@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import gpl.gnn
 import gpl.trainer
 from gpl.gnn import Workspace, backward_and_step, init_classifier
 from gpl.graph import build_graph, gcn_operator, init_mask
@@ -184,6 +185,28 @@ class TestScoring:
         assert len(calls) == 1 + cfg.outer_epochs
 
 
+class TestIdsReadOncePerFit:
+    @pytest.mark.parametrize("run", [run_gpl, run_baseline])
+    def test_id_reads_do_not_grow_with_steps(self, monkeypatch, run):
+        # the classifier reads its id sets when a fit builds its workspace,
+        # never per Adam step
+        real = gpl.gnn._node_ids
+        reads = []
+
+        def counted(*args, **kwargs):
+            reads.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gpl.gnn, "_node_ids", counted)
+        g, split = small_problem(0.7)
+        counts = []
+        for steps in (5, 50):
+            reads.clear()
+            run(g, split, TrainConfig(outer_epochs=2, k_inner=2, clf_steps_per_epoch=steps, warmup_steps=3))
+            counts.append(len(reads))
+        assert counts[0] == counts[1] > 0
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("run", [run_gpl, run_baseline])
     def test_nan_loss_names_the_column(self, monkeypatch, run):
@@ -289,12 +312,12 @@ class TestBaseline:
         cfg = TrainConfig(outer_epochs=2, clf_steps_per_epoch=15,
                           warmup_steps=10, lr_clf=0.05)
         clf, trace = run_baseline(g, split, cfg)
-        work = Workspace(gcn_operator(g, None), g.features, cfg.hidden)
+        work = Workspace(gcn_operator(g, None), g.features, cfg.hidden, split.P, split.U)
         ref = init_classifier(g.features.shape[1], hidden=cfg.hidden,
                               seed=cfg.seed)
         losses = []
         for _ in range(10 + 2 * 15):
-            ref, loss = backward_and_step(ref, work, split.P, split.U, cfg.lr_clf)
+            ref, loss = backward_and_step(ref, work, cfg.lr_clf)
             losses.append(loss)
         assert clf.t == ref.t == 40
         for k, p in ref.params().items():
