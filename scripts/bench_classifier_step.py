@@ -9,13 +9,20 @@ DIR is an unpacked copy of the commit to compare against (for example from
 - Per-step time: the best of 5 repeats of `backward_and_step` calls on one
   workspace, hidden 16, with one BLAS thread, on planted graphs at h=0.7:
   n = 1000/4000/16000 with 8 features, and Cora's shape, n=2708 with 1433
-  features and average degree 3.9. This script times both trees, each in
-  its own process with the tree's own package, so both sides run the same
-  timer on the same shapes; the two trees take --pairs alternating turns.
+  features and average degree 3.9. Each shape gives a raw time and a
+  scaled one: as perfbench/run.py scales its seconds, each repeat is
+  multiplied by PROBE_REF_S over the mean of the `perfbench/probe.py`
+  SpeedProbe times taken just before and just after it. This script times
+  both trees, each in its own process with the tree's own package, so
+  both sides run the same timer and probe on the same shapes; the two
+  trees take --pairs alternating turns.
 - End to end: `perfbench/run.py` on every workload at its default
   --seconds, in --pairs alternating pairs (parent first in even pairs,
-  change first in odd ones), one process per run. For each metric the file holds the per-pair values, the medians and
-  quartiles of each side, and the pairs where the change came out lower.
+  change first in odd ones), one process per run.
+
+For each metric the file holds the per-pair values, the medians and
+quartiles of each side, the quartile spread over the median, and the pairs
+where the change came out lower.
 
 Both trees run on the same machine, one process at a time. The report goes
 to --out, by default BENCH_classifier_step.json at the root of this tree.
@@ -23,7 +30,7 @@ to --out, by default BENCH_classifier_step.json at the root of this tree.
 
 import argparse
 import functools
-import inspect
+import importlib.util
 import json
 import os
 import statistics
@@ -42,33 +49,36 @@ STEP_SHAPES = {"1000": (1000, 8, 10.0, 300), "4000": (4000, 8, 10.0, 300), "1600
                "cora_2708x1433": (2708, 1433, 3.9, 30)}
 PAIRS = 10
 OUT = os.path.join(ROOT, "BENCH_classifier_step.json")
+PROBE_REF_S = 0.010  # perfbench/run.py's reference speed: the probe takes 10 ms
 
 
 def step_times() -> dict:
-    """Best per-step microseconds of backward_and_step for the gpl on sys.path.
-    The call form follows that tree's signature: the id sets go to the
-    Workspace where backward_and_step(state, work, lr) takes none, and to
-    each step where it is backward_and_step(state, work, positives,
-    negatives, lr)."""
+    """Best per-step microseconds of backward_and_step for the gpl on
+    sys.path, {shape: {"raw": us, "scaled": us}}; a scaled repeat is a raw
+    one times PROBE_REF_S over the mean of the probes on either side."""
     from gpl.gnn import Workspace, backward_and_step, init_classifier
     from gpl.graph import gcn_operator
     from gpl.synth import PlantedConfig, generate_planted, make_pu_split
 
-    ids_per_step = "positives" in inspect.signature(backward_and_step).parameters
+    # loaded by path, so that perfbench's modules stay off sys.path
+    spec = importlib.util.spec_from_file_location("probe", os.path.join(ROOT, "perfbench", "probe.py"))
+    probe_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe_module)
+    probe = probe_module.SpeedProbe()
     out = {}
     for name, (n, d, degree, number) in STEP_SHAPES.items():
         g = generate_planted(PlantedConfig(n=n, h=0.7, avg_degree=degree, feature_dim=d, seed=0))
         split = make_pu_split(g, 0.5, seed=0)
         op = gcn_operator(g, None)
         state = init_classifier(d, 16, seed=0)
-        if ids_per_step:
-            work = Workspace(op, g.features, 16)
-            step = functools.partial(backward_and_step, state, work, split.P, split.U, 0.01)
-        else:
-            work = Workspace(op, g.features, 16, split.P, split.U)
-            step = functools.partial(backward_and_step, state, work, 0.01)
-        times = timeit.repeat(step, number=number, repeat=5)
-        out[name] = 1e6 * min(times) / number
+        work = Workspace(op, g.features, 16, split.P, split.U)
+        step = functools.partial(backward_and_step, state, work, 0.01)
+        probes, raw, scaled = [probe()], [], []
+        for _ in range(5):
+            raw.append(1e6 * timeit.timeit(step, number=number) / number)
+            probes.append(probe())
+            scaled.append(raw[-1] * PROBE_REF_S / ((probes[-2] + probes[-1]) / 2))
+        out[name] = {"raw": min(raw), "scaled": min(scaled)}
     return out
 
 
@@ -80,7 +90,7 @@ def run_tree(tree: str, *args) -> list[str]:
 
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+    return {"median": median, "q1": q1, "q3": q3, "iqr_over_median": (q3 - q1) / median, "runs": values}
 
 
 def compare(parent: list[float], change: list[float]) -> dict:
@@ -102,12 +112,14 @@ def main(argv=None) -> int:
     def sides(i):
         return ("parent", "change") if i % 2 == 0 else ("change", "parent")
 
-    steps = {side: {k: [] for k in STEP_SHAPES} for side in trees}
+    steps = {side: {k: {"raw": [], "scaled": []} for k in STEP_SHAPES} for side in trees}
     for i in range(args.pairs):
         for side in sides(i):
             for k, us in json.loads(run_tree(trees[side], os.path.abspath(__file__), "--step-times")[-1]).items():
-                steps[side][k].append(us)
-    step_us = {k: compare(steps["parent"][k], steps["change"][k]) for k in STEP_SHAPES}
+                for form in ("raw", "scaled"):
+                    steps[side][k][form].append(us[form])
+    step_us = {k: {form: compare(steps["parent"][k][form], steps["change"][k][form]) for form in ("raw", "scaled")}
+               for k in STEP_SHAPES}
     env, e2e = {}, {}
     for w in WORKLOADS:
         runs = {side: {m: [] for m in METRICS} for side in trees}
@@ -129,7 +141,8 @@ def main(argv=None) -> int:
         "what": "one classifier Adam step (gnn.backward_and_step), parent vs change",
         "env": env,
         "seed": args.seed, "pairs": args.pairs,
-        "step_us": {"shapes": {k: {"n": n, "features": d, "avg_degree": deg, "best_of": f"5 x {num} calls"}
+        "step_us": {"shapes": {k: {"n": n, "features": d, "avg_degree": deg, "best_of": f"5 x {num} calls",
+                                   "scaled_by": f"{PROBE_REF_S} s / probe s"}
                                for k, (n, d, deg, num) in STEP_SHAPES.items()},
                     **step_us},
         "end_to_end": e2e,

@@ -29,8 +29,9 @@ _CFG_TYPES = {f.name: int if f.type == "int" else float for f in fields(TrainCon
 
 
 def parse_config(path) -> dict:
-    """Flat `key = value` file mirroring TrainConfig; '#' starts a comment."""
-    out = {}
+    """Flat `key = value` file mirroring TrainConfig; '#' starts a comment.
+    A key may appear once."""
+    out, lines = {}, {}
     with open(path, encoding="utf-8", errors="replace") as f:
         for ln, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -41,6 +42,9 @@ def parse_config(path) -> dict:
             key, val = (t.strip() for t in line.split("=", 1))
             if key not in _CFG_TYPES:
                 raise ConfigError(f"{path}:{ln}: unknown config key: {key}")
+            if key in lines:
+                raise ConfigError(f"{path}:{ln}: {key} is already set on line {lines[key]}")
+            lines[key] = ln
             try:
                 out[key] = _CFG_TYPES[key](val)
             except ValueError as exc:
@@ -186,6 +190,12 @@ def _ruled_list(flag: str, var: str, text: str) -> list:
     return values
 
 
+# the sweep's table columns after its keys, floats written with 17 significant
+# digits: runs.csv's summary values, aggregate.csv's means and stds over seeds
+_RUN_COLUMNS = ("f1", "pi_hat", "pi_true", "prior_error", "mean_weight_homo", "mean_weight_hetero")
+_AGGREGATES = tuple((c, st) for c in ("f1", "prior_error") for st in ("mean", "std"))
+
+
 def cmd_sweep(args) -> int:
     # every value is checked before any job runs
     values = _ruled_list("--values", args.var, args.values)
@@ -224,30 +234,17 @@ def cmd_sweep(args) -> int:
             results = {key: fut.result() for key, fut in futs.items()}
 
     os.makedirs(args.out, exist_ok=True)
-    run_cols = (
-        "var,value,seed,method,f1,pi_hat,pi_true,prior_error,"
-        "mean_weight_homo,mean_weight_hetero"
-    )
     with open(os.path.join(args.out, "runs.csv"), "w", encoding="utf-8") as f:
-        f.write(run_cols + "\n")
+        f.write(",".join(("var", "value", "seed", "method", *_RUN_COLUMNS)) + "\n")
         for v, s, m in sorted(results):
-            r = results[(v, s, m)]
-            f.write(
-                f"{args.var},{v:.17g},{s},{m},{r['f1']:.17g},{r['pi_hat']:.17g},"
-                f"{r['pi_true']:.17g},{r['prior_error']:.17g},"
-                f"{r['mean_weight_homo']:.17g},{r['mean_weight_hetero']:.17g}\n"
-            )
+            row = [args.var, f"{v:.17g}", str(s), m, *(f"{results[(v, s, m)][c]:.17g}" for c in _RUN_COLUMNS)]
+            f.write(",".join(row) + "\n")
     with open(os.path.join(args.out, "aggregate.csv"), "w", encoding="utf-8") as f:
-        f.write("var,value,method,runs,f1_mean,f1_std,prior_error_mean,prior_error_std\n")
+        f.write(",".join(("var", "value", "method", "runs", *(f"{c}_{st}" for c, st in _AGGREGATES))) + "\n")
         for v in values:
             for m in methods:
-                f1s = np.array([results[(v, s, m)]["f1"] for s in seeds])
-                errs = np.array([results[(v, s, m)]["prior_error"] for s in seeds])
-                f.write(
-                    f"{args.var},{v:.17g},{m},{len(seeds)},"
-                    f"{f1s.mean():.17g},{f1s.std():.17g},"
-                    f"{errs.mean():.17g},{errs.std():.17g}\n"
-                )
+                stats = (getattr(np.array([results[(v, s, m)][c] for s in seeds]), st)() for c, st in _AGGREGATES)
+                f.write(",".join([args.var, f"{v:.17g}", m, str(len(seeds)), *(f"{x:.17g}" for x in stats)]) + "\n")
     print(f"wrote {args.out}/runs.csv and {args.out}/aggregate.csv")
     return 0
 

@@ -216,20 +216,19 @@ class SelectionResult:
     complement: np.ndarray  # the rest of U, ascending node ids
 
 
-def select_top(u_nodes, u_scores, pi_hat: float) -> SelectionResult:
-    """Top round(pi_hat * |U|) unlabeled nodes by score.
+def select_top(u_nodes, z, pi_hat: float) -> SelectionResult:
+    """Top round(pi_hat * |U|) unlabeled nodes by score, where z holds one
+    score per graph node, so U's ids must lie in [0, len(z)).
 
     Rounding is half-up; score ties break toward the lower node index.
     A node id given twice is an error: it would land in both sets.
     """
     if not 0.0 <= pi_hat <= 1.0:
         raise ClassifierError("pi_hat must lie in [0, 1]")
-    (u,) = _node_ids(None, u_nodes, error=ClassifierError, disjoint=True)
-    s = np.asarray(u_scores, dtype=np.float64)
-    if u.shape != s.shape:
-        raise ClassifierError("node and score arrays must align")
+    z = np.asarray(z, dtype=np.float64)
+    (u,) = _node_ids(len(z), u_nodes, error=ClassifierError, disjoint=True)
     k = int(np.floor(pi_hat * u.size + 0.5))
-    order = np.lexsort((u, -s))
+    order = np.lexsort((u, -z[u]))
     chosen = np.sort(u[order[:k]])
     rest = np.sort(u[order[k:]])
     return SelectionResult(s_set=chosen, complement=rest)

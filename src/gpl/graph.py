@@ -73,7 +73,8 @@ def build_graph(n, edges, features, labels) -> SparseGraph:
     collapse to one stored edge. Self-loops and out-of-range endpoints are
     rejected, naming the first offending pair in input order (a self-loop
     before a range error); NaN or infinite features are rejected, naming
-    the first offending row.
+    the first offending row. Labels must be integers +1/-1: a boolean,
+    float, string or object label array is rejected, not cast.
     """
     # as an int: a numpy uint64 count would turn the int64 keys into floats
     n = _integer(n, "node count", 1, GraphError)
@@ -102,7 +103,10 @@ def build_graph(n, edges, features, labels) -> SparseGraph:
     keys = keys[np.diff(keys, prepend=-1) != 0]
     edge_arr = np.column_stack(np.divmod(keys, n))
 
-    features = np.asarray(features, dtype=np.float64)
+    try:
+        features = np.asarray(features, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # strings, ragged rows
+        raise GraphError(f"features must be an n x D array of numbers: {exc}") from None
     if features.ndim != 2 or features.shape[0] != n:
         raise GraphError(
             f"feature matrix has {features.shape[0] if features.ndim == 2 else '?'} rows, expected {n}"
@@ -110,13 +114,18 @@ def build_graph(n, edges, features, labels) -> SparseGraph:
     if not np.isfinite(features).all():
         bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
         raise GraphError(f"feature row {bad[0]}: non-finite value")
-    labels = np.asarray(labels, dtype=np.int64)
+    try:
+        labels = np.asarray(labels)
+    except ValueError as exc:  # ragged
+        raise GraphError(f"labels must be a vector of +1/-1: {exc}") from None
     if labels.shape != (n,):
         raise GraphError(f"label vector has shape {labels.shape}, expected ({n},)")
+    if labels.dtype.kind not in "iu":  # a cast would truncate 1.5 to 1 and read True as 1
+        raise GraphError(f"labels must be the integers +1/-1, got dtype {labels.dtype}")
     bad = np.flatnonzero((labels != 1) & (labels != -1))
     if bad.size:
         raise GraphError(f"label row {bad[0]}: value {labels[bad[0]]} not in {{+1, -1}}")
-    return SparseGraph(n=n, edges=edge_arr, features=features, labels=labels)
+    return SparseGraph(n=n, edges=edge_arr, features=features, labels=labels.astype(np.int64, copy=False))
 
 
 @dataclass
@@ -137,36 +146,34 @@ class EdgeMask:
 
 
 def _node_ids(n, *sets, error=GraphError, what="node", disjoint=False):
-    """Each set as an int64 array of ids in [0, n), or of non-negative ids if
-    n is None; int64 arrays pass through uncopied. A boolean or non-integer set
-    is rejected, not cast (a mask would read as the ids 0 and 1); an empty
-    one is empty whatever its dtype. With disjoint, no id may appear twice,
-    within or across sets. A fault raises `error`, naming the dtype, the
-    first id out of range, or else the smallest repeated id."""
-    top = 2**63 if n is None else n  # read as uint64, a negative id is at least 2**63
+    """Each set as an int64 array of ids in [0, n); int64 arrays pass through
+    uncopied. A boolean or non-integer set is rejected, not cast (a mask
+    would read as the ids 0 and 1); an empty one is empty whatever its
+    dtype. With disjoint, no id may appear twice, within or across sets. A
+    fault raises `error`, naming the dtype, the first id out of range, or
+    else the smallest repeated id."""
     out = []
     for nodes in sets:
         raw = nodes if isinstance(nodes, np.ndarray) else np.asarray(list(nodes))
         if raw.size and raw.dtype.kind not in "iu":
             raise error(f"{what} ids must be integers (not boolean masks), got dtype {raw.dtype}")
         ids = raw.astype(np.int64, copy=False)
-        if ids.size and ids.view(np.uint64).max() >= top:  # one pass, where min and max take two
-            v = raw[ids.view(np.uint64) >= top][0]
-            raise error(f"{what} id {v} is out of range" + ("" if n is None else f" for {n} nodes"))
+        # read as uint64, a negative id is at least 2**63; one pass, where min and max take two
+        if ids.size and ids.view(np.uint64).max() >= n:
+            v = raw[ids.view(np.uint64) >= n][0]
+            raise error(f"{what} id {v} is out of range for {n} nodes")
         out.append(ids)
     if disjoint:
         ids = np.concatenate(out)
-        if n is not None:  # n marks cost less than a sort, which then only names the id
-            seen = np.zeros(n, dtype=bool)
-            seen[ids] = True
-            if np.count_nonzero(seen) == ids.size:
-                return out
+        seen = np.zeros(n, dtype=bool)  # n marks cost less than a sort, which then only names the id
+        seen[ids] = True
+        if np.count_nonzero(seen) == ids.size:
+            return out
         ids = np.sort(ids)
         repeats = ids[1:][ids[1:] == ids[:-1]]
-        if repeats.size and sum(repeats[0] in a for a in out) > 1:
+        if sum(repeats[0] in a for a in out) > 1:
             raise error(f"{what} sets overlap at node {repeats[0]}")
-        if repeats.size:
-            raise error(f"{what} id {repeats[0]} appears more than once")
+        raise error(f"{what} id {repeats[0]} appears more than once")
     return out
 
 

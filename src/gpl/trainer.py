@@ -12,10 +12,10 @@ import numpy as np
 from .cpe import estimate_prior
 from .gnn import (
     Workspace,
+    _pu_loss,
     backward_and_step,
     init_classifier,
     predict_labels,
-    pu_loss,
     scores,
     select_top,
 )
@@ -111,7 +111,7 @@ def _fit(cfg: TrainConfig, work: Workspace, steps, state=None):
         state, loss = backward_and_step(state, work, cfg.lr_clf)
     z = scores(state, work)
     if steps == 0:
-        loss = pu_loss(z, work.pos, work.neg)
+        loss = _pu_loss(z[work.pos], z[work.neg])
     return state, loss, z
 
 
@@ -161,7 +161,7 @@ def run_gpl(g: SparseGraph, split: PUSplit, cfg: TrainConfig):
     # bootstrap: no selection exists yet, so warm a classifier on the
     # initial structure with all of U treated negative and estimate once
     z, prior = _warm_start(g, split, cfg, gcn_operator(g, mask))
-    sel = select_top(split.U, z[split.U], prior.pi_hat)
+    sel = select_top(split.U, z, prior.pi_hat)
 
     rows = []
     for epoch in range(1, cfg.outer_epochs + 1):
@@ -187,7 +187,7 @@ def run_gpl(g: SparseGraph, split: PUSplit, cfg: TrainConfig):
         work = Workspace(gcn_operator(g, mask), g.features, cfg.hidden, pos_anchor, neg_anchor)
         clf, clf_loss, z = _fit(cfg, work, cfg.clf_steps_per_epoch)
         prior, row = _epoch_row(g, split, edge_weight_means(g, mask), epoch, lpl, clf_loss, z)
-        sel = select_top(split.U, z[split.U], prior.pi_hat)
+        sel = select_top(split.U, z, prior.pi_hat)
         rows.append(row)
 
     return clf, mask, prior, TrainTrace(tuple(rows))

@@ -199,6 +199,13 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=r"2: unknown config key: learning_rate"):
             parse_config(p)
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        # a second setting would otherwise silently win
+        p = tmp_path / "c.cfg"
+        p.write_text("hidden = 8\n# wider\nhidden = 16\n")
+        with pytest.raises(ConfigError, match=r"c\.cfg:3: hidden is already set on line 1$"):
+            parse_config(p)
+
     def test_undecodable_bytes_named_with_line(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_bytes(b"outer_epochs = 4  # caf\xe9\nk_prop = 1\xff\n")

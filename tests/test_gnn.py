@@ -122,8 +122,13 @@ class TestSelectTop:
         assert sel.s_set.tolist() == [0, 1, 2, 3, 4]
 
     def test_tie_breaks_to_lower_index(self):
-        sel = select_top(np.array([4, 7, 9]), np.array([0.5, 0.5, 0.5]), 1 / 3)
+        sel = select_top(np.array([9, 7, 4]), np.full(10, 0.5), 1 / 3)
         assert sel.s_set.tolist() == [4]
+
+    def test_scores_are_read_by_node_id(self):
+        # z holds one score per graph node; U's order does not matter
+        sel = select_top(np.array([3, 1]), np.array([0.0, 0.2, 0.0, 0.9]), 0.5)
+        assert sel.s_set.tolist() == [3] and sel.complement.tolist() == [1]
 
     def test_half_up_rounding(self):
         # 0.25 * 2 = 0.5 rounds up to 1
@@ -133,7 +138,7 @@ class TestSelectTop:
     def test_partition(self):
         rng = np.random.default_rng(3)
         u = np.sort(rng.choice(100, size=20, replace=False))
-        sel = select_top(u, rng.random(20), 0.4)
+        sel = select_top(u, rng.random(100), 0.4)
         merged = np.sort(np.concatenate([sel.s_set, sel.complement]))
         assert np.array_equal(merged, u)
 
@@ -147,9 +152,9 @@ class TestSelectTop:
     def test_repeated_id_rejected(self):
         # 3 would land in both the selection and its complement
         with pytest.raises(ClassifierError, match="node id 3 appears more than once"):
-            select_top([3, 3, 1], np.array([0.9, 0.2, 0.5]), 1 / 3)
+            select_top([3, 3, 1], np.array([0.9, 0.2, 0.5, 0.1]), 1 / 3)
         with pytest.raises(ClassifierError, match="node id 5 appears"):
-            select_top(np.array([5, 0, 7, 5]), np.zeros(4), 0.5)
+            select_top(np.array([5, 0, 7, 5]), np.zeros(8), 0.5)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 9999), pi=st.floats(0, 1), eps=st.floats(0, 1))

@@ -150,6 +150,27 @@ class TestBuildGraph:
         narrow = _graph(4, np.array([[3, 1], [0, 1]], dtype=np.uint8))
         assert narrow.edges.dtype == np.int64 and narrow.edges.tolist() == [[0, 1], [1, 3]]
 
+    @pytest.mark.parametrize("labels, dtype", [
+        ([1.5, -1, -1.9], "float64"),  # a cast would read 1, -1, -1
+        ([True, False, True], "bool"),  # a cast would read 1, 0, 1
+        (["1", "-1", "1"], "<U2"),
+        ([1, None, -1], "object"),
+    ])
+    def test_non_integer_labels_rejected_not_cast(self, labels, dtype):
+        with pytest.raises(GraphError, match=rf"^labels must be the integers \+1/-1, got dtype {re.escape(dtype)}$"):
+            build_graph(3, [(0, 1)], np.zeros((3, 1)), labels)
+        g = build_graph(3, [(0, 1)], np.zeros((3, 1)), np.array([1, -1, 1], dtype=np.int8))
+        assert g.labels.dtype == np.int64 and g.labels.tolist() == [1, -1, 1]
+
+    @pytest.mark.parametrize("features", [[["a"], ["b"]], [[1.0], [1.0, 2.0]]])
+    def test_unreadable_features_rejected(self, features):
+        with pytest.raises(GraphError, match="^features must be an n x D array of numbers: "):
+            build_graph(2, [(0, 1)], features, [1, -1])
+
+    def test_ragged_labels_rejected(self):
+        with pytest.raises(GraphError, match="^labels must be a vector of \\+1/-1: "):
+            build_graph(2, [(0, 1)], np.zeros((2, 1)), [[1], [1, -1]])
+
     @pytest.mark.parametrize("n", [4.0, True, "4", None])
     def test_node_count_must_be_an_integer(self, n):
         with pytest.raises(GraphError, match=rf"^node count must be an integer, got {re.escape(repr(n))}$"):

@@ -49,7 +49,7 @@ CALLS = {
                        lambda ids: loss_gradients(init_classifier(2, 3, seed=0),
                                                   Workspace(gcn_operator(G, None), G.features, 3, ids, [5]))),
     "f1_score": (GraphError, False, lambda ids: f1_score(LABELS, LABELS, ids)),
-    "select_top": (ClassifierError, True, lambda ids: select_top(ids, np.zeros(len(ids)), 0.5)),
+    "select_top": (ClassifierError, True, lambda ids: select_top(ids, np.zeros(N), 0.5)),
     "run_gpl": (TrainError, True, lambda ids: run_gpl(G, _split(ids), TRAIN)),
     "run_baseline": (TrainError, True, lambda ids: run_baseline(G, _split(ids), TRAIN)),
 }
@@ -69,8 +69,6 @@ def _table():
         for case in CASES:
             if case == "repeat" and not disjoint:
                 continue
-            if case == "at_n" and name == "select_top":
-                continue  # it takes no graph, so no n bounds its ids
             yield pytest.param(name, case, id=f"{name}-{case}")
 
 

@@ -1,8 +1,8 @@
 """Smoke runs of the scripts at tiny sizes: each figure script's run(args)
 exits 0 and writes its CSVs, and bench_classifier_step.py's step timer
-returns one time per shape, in the call form of the tree it times. That
-script's paired benchmark runs are only checked with a stand-in for
-subprocess.run: for real they take minutes."""
+returns a raw and a probe-scaled time per shape. That script's paired
+benchmark runs are only checked with a stand-in for subprocess.run: for
+real they take minutes."""
 
 import csv
 import importlib.util
@@ -11,8 +11,6 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-
-import gpl.gnn
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -53,27 +51,8 @@ def test_bench_step_timer_times_each_size(monkeypatch):
     assert module.STEP_SHAPES["cora_2708x1433"][:3] == (2708, 1433, 3.9)
     monkeypatch.setattr(module, "STEP_SHAPES", {"200": (200, 8, 10.0, 3), "wide": (100, 40, 3.9, 2)})
     times = module.step_times()
-    assert list(times) == ["200", "wide"] and min(times.values()) > 0
-
-
-def test_bench_step_timer_takes_the_old_call_form(monkeypatch):
-    # a parent tree whose backward_and_step takes the id sets on every step
-    # and whose Workspace takes none is timed in its own call form
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    module = load("bench_classifier_step")
-    monkeypatch.setattr(module, "STEP_SHAPES", {"200": (200, 8, 10.0, 3)})
-    calls = []
-
-    def backward_and_step(state, work, positives, negatives, lr):
-        calls.append((work.pos.size, len(positives), len(negatives), lr))
-        return state, 0.0
-
-    monkeypatch.setattr(gpl.gnn, "backward_and_step", backward_and_step)
-    times = module.step_times()
-    assert list(times) == ["200"] and times["200"] > 0
-    assert len(calls) == 5 * 3
-    no_ids, n_pos, n_neg, lr = calls[0]
-    assert no_ids == 0 and n_pos > 0 and n_pos + n_neg == 200 and lr == 0.01
+    assert list(times) == ["200", "wide"]
+    assert all(set(t) == {"raw", "scaled"} and min(t.values()) > 0 for t in times.values())
 
 
 def bench_stub(module, monkeypatch):
@@ -83,7 +62,7 @@ def bench_stub(module, monkeypatch):
 
     def run(cmd, cwd, **kwargs):
         calls.append((cwd, cmd[1:]))
-        out = {k: 1.0 for k in module.STEP_SHAPES} if cmd[-1] == "--step-times" else result
+        out = {k: {"raw": 1.0, "scaled": 2.0} for k in module.STEP_SHAPES} if cmd[-1] == "--step-times" else result
         return SimpleNamespace(stdout=f"env x\n{json.dumps(out)}\n")
 
     monkeypatch.setattr(module.subprocess, "run", run)
@@ -108,7 +87,8 @@ def test_bench_times_each_tree_with_its_own_step_timer(monkeypatch, tmp_path):
     report = json.loads((tmp_path / "bench.json").read_text())
     assert report["pairs"] == 2
     assert set(report["step_us"]) == {"shapes", *module.STEP_SHAPES}
-    assert report["step_us"]["1000"]["parent"]["runs"] == [1.0, 1.0]
+    assert report["step_us"]["1000"]["raw"]["parent"]["runs"] == [1.0, 1.0]
+    assert report["step_us"]["1000"]["scaled"]["change"]["runs"] == [2.0, 2.0]
 
 
 def test_bench_pairs_and_out_flags(monkeypatch, tmp_path):

@@ -189,7 +189,7 @@ class TestIdsReadOncePerFit:
     @pytest.mark.parametrize("run", [run_gpl, run_baseline])
     def test_id_reads_do_not_grow_with_steps(self, monkeypatch, run):
         # the classifier reads its id sets when a fit builds its workspace,
-        # never per Adam step
+        # never per Adam step, nor again for the loss of a fit with no steps
         real = gpl.gnn._node_ids
         reads = []
 
@@ -200,11 +200,11 @@ class TestIdsReadOncePerFit:
         monkeypatch.setattr(gpl.gnn, "_node_ids", counted)
         g, split = small_problem(0.7)
         counts = []
-        for steps in (5, 50):
+        for steps in (0, 5, 50):
             reads.clear()
             run(g, split, TrainConfig(outer_epochs=2, k_inner=2, clf_steps_per_epoch=steps, warmup_steps=3))
             counts.append(len(reads))
-        assert counts[0] == counts[1] > 0
+        assert counts[0] == counts[1] == counts[2] > 0
 
 
 class TestNonFinite:
