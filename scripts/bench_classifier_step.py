@@ -2,6 +2,7 @@
 """Before/after numbers for one classifier Adam step, as a BENCH_*.json file.
 
     python3 scripts/bench_classifier_step.py --parent DIR [--seed 0] [--pairs 10] [--out FILE]
+        [--workload NAME ...]
 
 DIR is an unpacked copy of the commit to compare against (for example from
 `git archive`); the change is the tree this script lives in. Two parts:
@@ -16,9 +17,9 @@ DIR is an unpacked copy of the commit to compare against (for example from
   both trees, each in its own process with the tree's own package, so
   both sides run the same timer and probe on the same shapes; the two
   trees take --pairs alternating turns.
-- End to end: `perfbench/run.py` on every workload at its default
-  --seconds, in --pairs alternating pairs (parent first in even pairs,
-  change first in odd ones), one process per run.
+- End to end: `perfbench/run.py` on every workload (or on each --workload
+  given) at its default --seconds, in --pairs alternating pairs (parent
+  first in even pairs, change first in odd ones), one process per run.
 
 For each metric the file holds the per-pair values, the medians and
 quartiles of each side, the quartile spread over the median, and the pairs
@@ -104,6 +105,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--pairs", type=int, default=PAIRS, help="alternating parent/change pairs")
     ap.add_argument("--out", default=OUT, help="report file")
+    ap.add_argument("--workload", action="append", choices=WORKLOADS,
+                    help="end-to-end workload to pair; repeat for several (default: all)")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be >= 2: quartiles need two runs a side")
@@ -121,7 +124,7 @@ def main(argv=None) -> int:
     step_us = {k: {form: compare(steps["parent"][k][form], steps["change"][k][form]) for form in ("raw", "scaled")}
                for k in STEP_SHAPES}
     env, e2e = {}, {}
-    for w in WORKLOADS:
+    for w in args.workload or WORKLOADS:
         runs = {side: {m: [] for m in METRICS} for side in trees}
         for i in range(args.pairs):
             for side in sides(i):

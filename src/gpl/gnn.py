@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,8 @@ class Workspace:
     """Everything a classifier step reads besides the parameters, for one
     operator `op`, feature matrix `X`, hidden size and the fit's id sets,
     built once per fit: pos and neg, the positive and provisional-negative
-    ids as int64 arrays, read once here with graph._node_ids; xs1T =
+    ids as int64 arrays, read once here with graph._node_ids, no id in
+    both or twice in one; xs1T =
     [op @ X | 1].T, the first aggregation with a ones row, held contiguous
     as (D+1) x n (scores multiplies its .T view by [W1; b1], so the bias
     comes with the product); opT = op.T, a view sharing op's arrays, for
@@ -84,7 +86,7 @@ class Workspace:
         if op.shape != (n, n):
             raise ClassifierError(f"operator is {op.shape[0]} x {op.shape[1]} but X has {n} rows")
         hidden = _integer(hidden, "hidden", 1, ClassifierError)
-        self.pos, self.neg = _node_ids(n, positives, negatives, error=ClassifierError)
+        self.pos, self.neg = _node_ids(n, positives, negatives, error=ClassifierError, disjoint=True)
         self.op, self.X = op, X
         self.opT = op.T
         self.xs1T = np.vstack([(op @ X).T, np.ones(n)])
@@ -117,15 +119,19 @@ def forward(state: ClassifierState, op, X) -> np.ndarray:
     return scores(state, Workspace(op, X, state.W1.shape[1]))
 
 
-def _pu_loss(z_pos: np.ndarray, z_neg: np.ndarray) -> float:
-    if z_pos.size == 0 and z_neg.size == 0:
+def _pu_loss(z: np.ndarray, pos: np.ndarray, neg: np.ndarray):
+    """pu_loss on ids already read. Returns (loss, z[pos] + eps,
+    1 - z[neg] + eps), the two groups' log arguments, which
+    loss_gradients reuses for dz."""
+    if pos.size == 0 and neg.size == 0:
         raise ClassifierError("both groups empty")
+    zp, zn = z[pos] + LOG_EPS, 1.0 - z[neg] + LOG_EPS
     loss = 0.0
-    if z_pos.size:
-        loss -= float(np.log(z_pos + LOG_EPS).sum() / z_pos.size)
-    if z_neg.size:
-        loss -= float(np.log(1.0 - z_neg + LOG_EPS).sum() / z_neg.size)
-    return loss
+    if pos.size:
+        loss -= float(np.log(zp).sum() / pos.size)
+    if neg.size:
+        loss -= float(np.log(zn).sum() / neg.size)
+    return loss, zp, zn
 
 
 def pu_loss(z: np.ndarray, positives, negatives) -> float:
@@ -133,10 +139,11 @@ def pu_loss(z: np.ndarray, positives, negatives) -> float:
 
     Mean of -log(z + eps) over the positive group plus mean of
     -log(1 - z + eps) over the provisional-negative group; an empty group's
-    term is dropped, both empty is an error.
+    term is dropped, both empty is an error. No id may be in both groups or
+    twice in one.
     """
-    pos, neg = _node_ids(z.shape[0], positives, negatives, error=ClassifierError)
-    return _pu_loss(z[pos], z[neg])
+    pos, neg = _node_ids(z.shape[0], positives, negatives, error=ClassifierError, disjoint=True)
+    return _pu_loss(z, pos, neg)[0]
 
 
 def loss_gradients(state: ClassifierState, work: Workspace):
@@ -148,35 +155,41 @@ def loss_gradients(state: ClassifierState, work: Workspace):
     and M = 1[h1 > 0], grad[W1; b1] = (xs1T @ (M * dq)) * W2.T. The W2
     gradient h1.T @ dq is taken first; then each block of h1 is overwritten
     by M * dq and its xs1T columns' product added to the sum: n x hidden
-    work per step whatever the feature width.
+    work per step whatever the feature width. Each part is written into its
+    view of the one theta-shaped gradient vector.
 
     The operator is treated as a constant: no gradient flows to the edge
     mask from the classification loss.
     """
     pos, neg = work.pos, work.neg
     z = scores(state, work)
-    z_pos, z_neg = z[pos], z[neg]
-    loss = _pu_loss(z_pos, z_neg)
-    if not np.isfinite(loss):
+    loss, zp, zn = _pu_loss(z, pos, neg)
+    if not math.isfinite(loss):
         raise ClassifierError("non-finite classification loss")
 
-    dz = np.zeros_like(z)
+    # dz, written by assignment: the id sets are disjoint and dz is zero on
+    # them; then dz * z * (1 - z) in place
+    dpre2 = np.zeros_like(z)
     if pos.size:
-        dz[pos] -= 1.0 / (pos.size * (z_pos + LOG_EPS))
+        dpre2[pos] = -1.0 / (pos.size * zp)
     if neg.size:
-        dz[neg] += 1.0 / (neg.size * (1.0 - z_neg + LOG_EPS))
-    dpre2 = dz * z * (1.0 - z)
+        dpre2[neg] = 1.0 / (neg.size * zn)
+    dpre2 *= z
+    dpre2 *= np.subtract(1.0, z, out=z)
 
     dq = work.opT @ dpre2  # adjoint of the outer aggregation
-    g2 = work.h1.T @ dq[:, None]  # before the blocks overwrite h1
-    g1 = np.zeros_like(state.W1b1)
+    grad = np.zeros_like(state.theta)
+    k = state.W1b1.size
+    g1, g2 = grad[:k].reshape(state.W1b1.shape), grad[k:-1].reshape(state.W2.shape)
+    np.matmul(work.h1.T, dq[:, None], out=g2)  # before the blocks overwrite h1
     for b in work.blocks:
         m = work.h1[b]
         np.greater(m, 0.0, out=m)  # M as 0/1
         m *= dq[b, None]
         g1 += work.xs1T[:, b] @ m
     g1 *= state.W2.T
-    return np.concatenate([g1.ravel(), g2.ravel(), [dpre2.sum()]]), loss
+    grad[-1] = dpre2.sum()
+    return grad, loss
 
 
 def backward_and_step(state: ClassifierState, work: Workspace, lr: float):

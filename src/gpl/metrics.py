@@ -12,7 +12,7 @@ from scipy.special import logit
 from .gnn import Workspace, forward, init_classifier, loss_gradients, pu_loss
 from .graph import (EdgeMask, GraphError, SparseGraph, _edge_weights, _node_ids, build_graph, gcn_operator,
                     propagation_operator)
-from .propagation import PropagationConfig, _anchor_beliefs, _lpl_at, lpl_gradient, propagate
+from .propagation import PropagationConfig, _anchor_beliefs, _check_anchor_sets, _lpl_at, lpl_gradient, propagate
 from .synth import PlantedConfig, generate_planted
 
 
@@ -85,6 +85,8 @@ def dpn_distance(embeddings, g: SparseGraph, op) -> float:
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
+    if x.shape[0] != g.n:
+        raise ValueError(f"embeddings have {x.shape[0]} rows but the graph has {g.n} nodes")
     if not g.cross.any():
         return 0.0
     e = g.edges[g.cross]
@@ -199,9 +201,10 @@ def fd_lpl_gradient(g, mask, cfg, positives, negatives):
     """Central-difference oracle for the mask gradient: it differentiates
     propagation._lpl_at from the E_0 the anchor sets define, the same
     evaluation optimize_mask's line search makes."""
-    e0 = _anchor_beliefs(g.n, positives, negatives)
+    pos, neg = _check_anchor_sets(g.n, positives, negatives)
+    e0 = _anchor_beliefs(g.n, pos, neg)
     probe = EdgeMask(mask.theta.copy())  # each in-place move of its theta rebuilds the operator
-    return _central_diff(lambda: _lpl_at(g, probe, e0, cfg, positives, negatives)[0], probe.theta)
+    return _central_diff(lambda: _lpl_at(g, probe, e0, cfg, pos, neg)[0], probe.theta)
 
 
 def _rel_err(analytic, numeric, floor=1e-8):

@@ -49,7 +49,10 @@ def propagate(op: sp.csr_matrix, e0: np.ndarray, cfg: PropagationConfig) -> list
         raise PropagationError("operator and belief dimensions disagree")
     states = [np.array(e0, dtype=np.float64, copy=True)]
     for _ in range(cfg.k_prop):
-        states.append(cfg.alpha * states[-1] + (1.0 - cfg.alpha) * (op @ states[-1]))
+        e = op @ states[-1]
+        e *= 1.0 - cfg.alpha
+        e += cfg.alpha * states[-1]  # the same bits as alpha*E + (1-alpha) * (op @ E)
+        states.append(e)
     return states
 
 
@@ -67,10 +70,15 @@ def lpl_loss(beliefs, positives, negatives) -> float:
     Minimizing L drives anchor beliefs toward their known signs. The negative
     term is dropped when no negatives are identified.
     """
-    pos, neg = _check_anchor_sets(beliefs.shape[0], positives, negatives)
-    loss = float(np.mean(np.log(beliefs[pos, 1] + LOG_EPS)))
+    return _lpl(beliefs, *_check_anchor_sets(beliefs.shape[0], positives, negatives))
+
+
+def _lpl(beliefs, pos: np.ndarray, neg: np.ndarray) -> float:
+    """lpl_loss on anchor sets already read by _check_anchor_sets; each mean
+    is the sum over the count, the bits of np.mean without its overhead."""
+    loss = float(np.log(beliefs[pos, 1] + LOG_EPS).sum() / pos.size)
     if neg.size:
-        loss += float(np.mean(np.log(beliefs[neg, 0] + LOG_EPS)))
+        loss += float(np.log(beliefs[neg, 0] + LOG_EPS).sum() / neg.size)
     return loss
 
 
@@ -110,6 +118,9 @@ def lpl_gradient(g: SparseGraph, mask: EdgeMask, states, cfg: PropagationConfig,
     K = cfg.k_prop
     if len(states) != K + 1:
         raise PropagationError(f"expected {K + 1} belief states, got {len(states)}")
+    for s in states:
+        if s.shape != (g.n, 2):
+            raise PropagationError(f"belief states must be {g.n} x 2 on a graph of {g.n} nodes, got shape {s.shape}")
     sums = states[0][:, 0] + states[0][:, 1]
     bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-12)
     if bad.size:
@@ -135,7 +146,10 @@ def lpl_gradient(g: SparseGraph, mask: EdgeMask, states, cfg: PropagationConfig,
         gamma_ij += delta[i] * e[j]
         gamma_ji += delta[j] * e[i]
         if k > 1:
-            delta = cfg.alpha * delta + (1.0 - cfg.alpha) * (opT @ delta)
+            back = opT @ delta
+            back *= 1.0 - cfg.alpha
+            delta *= cfg.alpha
+            delta += back  # the same bits as alpha*delta + (1-alpha) * (opT @ delta)
     gamma_ij *= 1.0 - cfg.alpha
     gamma_ji *= 1.0 - cfg.alpha
 
@@ -145,12 +159,14 @@ def lpl_gradient(g: SparseGraph, mask: EdgeMask, states, cfg: PropagationConfig,
     return grad_w * w * (1.0 - w)
 
 
-def _lpl_at(g: SparseGraph, mask: EdgeMask, e0, cfg: PropagationConfig, positives, negatives):
+def _lpl_at(g: SparseGraph, mask: EdgeMask, e0, cfg: PropagationConfig, pos: np.ndarray, neg: np.ndarray):
     """(lpl_loss, beliefs E_0..E_K) at the mask, propagated from e0: the inner
     objective optimize_mask descends and metrics.fd_lpl_gradient differentiates.
-    The mask keeps the operator, for lpl_gradient at the same point."""
+    pos and neg are the anchor sets as _check_anchor_sets returned them, read
+    once by the caller, not once per evaluation. The mask keeps the
+    operator, for lpl_gradient at the same point."""
     states = propagate(propagation_operator(g, mask), e0, cfg)
-    return lpl_loss(states[-1], positives, negatives), states
+    return _lpl(states[-1], pos, neg), states
 
 
 def optimize_mask(

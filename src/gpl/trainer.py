@@ -111,7 +111,7 @@ def _fit(cfg: TrainConfig, work: Workspace, steps, state=None):
         state, loss = backward_and_step(state, work, cfg.lr_clf)
     z = scores(state, work)
     if steps == 0:
-        loss = _pu_loss(z[work.pos], z[work.neg])
+        loss = _pu_loss(z, work.pos, work.neg)[0]
     return state, loss, z
 
 

@@ -399,6 +399,28 @@ def textbook_step(state, op, X, pos, neg):
     return grads, loss, z
 
 
+def blocked_step(state, work):
+    """(grad, loss) as loss_gradients took them before the gradient was
+    written into one vector: the loss on z[pos] and z[neg], dz by
+    subtraction and addition, separate W2 and [W1; b1] arrays joined by
+    np.concatenate."""
+    pos, neg = work.pos, work.neg
+    z = scores(state, work)
+    loss = -float(np.log(z[pos] + 1e-12).sum() / pos.size) - float(np.log(1.0 - z[neg] + 1e-12).sum() / neg.size)
+    dz = np.zeros_like(z)
+    dz[pos] -= 1.0 / (pos.size * (z[pos] + 1e-12))
+    dz[neg] += 1.0 / (neg.size * (1.0 - z[neg] + 1e-12))
+    dpre2 = dz * z * (1.0 - z)
+    dq = work.opT @ dpre2
+    g2 = work.h1.T @ dq[:, None]
+    g1 = np.zeros_like(state.W1b1)
+    for b in work.blocks:
+        m = (work.h1[b] > 0.0) * dq[b, None]
+        g1 += work.xs1T[:, b] @ m
+    g1 *= state.W2.T
+    return np.concatenate([g1.ravel(), g2.ravel(), [dpre2.sum()]]), loss
+
+
 class TestAgainstTextbookStep:
     @pytest.mark.parametrize("n", [300, 4000, 16000])
     def test_loss_scores_and_gradients(self, n):
@@ -420,6 +442,25 @@ class TestAgainstTextbookStep:
         # the n-long sums and not inside them, so only a bound holds
         for k in ("W1", "b1"):
             assert np.abs(grads[k] - ref[k]).max() <= 1e-13 * np.abs(ref[k]).max(), k
+
+    @pytest.mark.parametrize("n, block_bytes", [(300, 1), (301, 128 * 128), (4000, gnn.BLOCK_BYTES),
+                                                (16000, gnn.BLOCK_BYTES)])
+    def test_gradient_matches_the_blocked_form_bit_for_bit(self, n, block_bytes, monkeypatch):
+        # the gradient written in place into one vector, every part of it
+        # [W1; b1] included, against the separate arrays it replaced
+        g = generate_planted(PlantedConfig(n=n, h=0.7, avg_degree=10, seed=2))
+        split = make_pu_split(g, 0.5, seed=2)
+        monkeypatch.setattr(gnn, "BLOCK_BYTES", block_bytes)
+        work = Workspace(gcn_operator(g, random_mask(np.random.default_rng(n), g)), g.features, 16,
+                         split.P, split.U)
+        state = init_classifier(g.features.shape[1], 16, seed=5)
+        rng = np.random.default_rng(n + 2)
+        for p in state.params().values():  # move off the init so both relu sides occur
+            p += 0.3 * rng.normal(size=p.shape)
+        want, want_loss = blocked_step(state, work)
+        grad, loss = loss_gradients(state, work)
+        assert loss == want_loss
+        np.testing.assert_array_equal(grad, want)
 
     @pytest.mark.parametrize("lr", [0.01, 0.05])
     def test_adam_matches_the_per_block_update(self, lr):

@@ -18,8 +18,8 @@ from gpl.graph import (
     propagation_operator,
     rewire_to_heterophily,
 )
-from gpl.metrics import f1_score
-from gpl.propagation import PropagationConfig, PropagationError, optimize_mask, propagate
+from gpl.metrics import check_aggregation_contraction, dpn_distance, f1_score
+from gpl.propagation import PropagationConfig, PropagationError, lpl_gradient, optimize_mask, propagate
 from gpl.synth import DatasetError, PlantedConfig, generate_planted, load_dataset, make_pu_split
 from gpl.trainer import TrainConfig, TrainError, run_gpl
 
@@ -73,6 +73,18 @@ CASES = {
     "optimize_mask-nan_start": (PropagationError, "non-finite loss at initialization",
                                 lambda *_: optimize_mask(G, EdgeMask(np.full(G.m, np.nan)), CFG, [0], [1],
                                                          steps=1, lr=0.1)),
+    "lpl_gradient-too_few_rows": (PropagationError,
+                                  "belief states must be 4 x 2 on a graph of 4 nodes, got shape (3, 2)",
+                                  lambda *_: lpl_gradient(G, init_mask(G), [np.full((N - 1, 2), 0.5)] * 3, CFG,
+                                                          [0], [1])),
+    "lpl_gradient-three_columns": (PropagationError,
+                                   "belief states must be 4 x 2 on a graph of 4 nodes, got shape (4, 3)",
+                                   lambda *_: lpl_gradient(G, init_mask(G), [np.full((N, 3), 0.5)] * 3, CFG,
+                                                           [0], [1])),
+    "dpn_distance-rows": (ValueError, "embeddings have 3 rows but the graph has 4 nodes",
+                          lambda *_: dpn_distance(np.zeros((N - 1, 2)), G, propagation_operator(G, None))),
+    "check_aggregation_contraction-rows": (ValueError, "embeddings have 3 rows but the graph has 4 nodes",
+                                           lambda *_: check_aggregation_contraction(G, None, np.zeros(N - 1))),
     "loss_gradients-nan_loss": (ClassifierError, "non-finite classification loss", _nan_classifier),
     "backward_and_step-negative_lr": (ClassifierError, "lr must be >= 0",
                                       lambda *_: backward_and_step(

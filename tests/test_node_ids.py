@@ -44,8 +44,8 @@ CALLS = {
                      lambda ids: lpl_gradient(G, init_mask(G), _states(), CFG, [0], ids)),
     "optimize_mask": (PropagationError, True,
                       lambda ids: optimize_mask(G, init_mask(G), CFG, ids, [5], steps=1, lr=0.1)),
-    "pu_loss": (ClassifierError, False, lambda ids: pu_loss(np.full(N, 0.5), [5], ids)),
-    "loss_gradients": (ClassifierError, False,
+    "pu_loss": (ClassifierError, True, lambda ids: pu_loss(np.full(N, 0.5), [5], ids)),
+    "loss_gradients": (ClassifierError, True,
                        lambda ids: loss_gradients(init_classifier(2, 3, seed=0),
                                                   Workspace(gcn_operator(G, None), G.features, 3, ids, [5]))),
     "f1_score": (GraphError, False, lambda ids: f1_score(LABELS, LABELS, ids)),
@@ -84,5 +84,14 @@ def test_bad_ids_raise_the_module_error(name, case):
 
 @pytest.mark.parametrize("name", [k for k, (_, disjoint, _) in CALLS.items() if not disjoint])
 def test_repeats_are_read_where_sets_may_repeat(name):
-    out = CALLS[name][2]([1, 2, 1])
-    assert np.isfinite(np.hstack(out if isinstance(out, tuple) else [out])).all()
+    assert np.isfinite(CALLS[name][2]([1, 2, 1]))
+
+
+# every call above whose ids meet a second set; select_top reads one set
+@pytest.mark.parametrize("name", [k for k, (_, disjoint, _) in CALLS.items() if disjoint and k != "select_top"])
+def test_two_sets_may_not_share_an_id(name):
+    error, _, call = CALLS[name]
+    with pytest.raises(ValueError) as info:
+        call([0, 5])
+    assert type(info.value) is error
+    assert "sets overlap at node" in str(info.value)

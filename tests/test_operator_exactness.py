@@ -1,7 +1,8 @@
 """Bit-for-bit checks of the fast paths against the plain formulations
-they replace: operators built from COO with scipy products, a plain form
-of the one-vector mask-gradient arithmetic, and the quadratic tail counts
-of the prior estimator. Outputs and traces are held to exact equality, so
+they replace: operators built from COO with scipy products, the plain
+propagation recursion and anchor-loss means, a plain form of the
+one-vector mask-gradient arithmetic, and the quadratic tail counts of the
+prior estimator. Outputs and traces are held to exact equality, so
 these compare with array_equal. The one exception is the mask gradient
 against its two-column (einsum) form: the two-class identity reorders the
 arithmetic, so they agree to rounding, and an extended-precision dense
@@ -20,7 +21,7 @@ from gpl.graph import (
     rewire_to_heterophily,
 )
 from gpl.metrics import random_test_graph
-from gpl.propagation import LOG_EPS, PropagationConfig, lpl_gradient, propagate
+from gpl.propagation import LOG_EPS, PropagationConfig, _lpl_at, lpl_gradient, lpl_loss, propagate
 from gpl.synth import PlantedConfig, generate_planted
 
 
@@ -107,6 +108,21 @@ def coo_states(g, mask, e0, cfg):
     for _ in range(cfg.k_prop):
         states.append(cfg.alpha * states[-1] + (1.0 - cfg.alpha) * (op @ states[-1]))
     return op, states
+
+
+@pytest.mark.parametrize("name,g", list(graphs()))
+def test_propagate_matches_plain_recursion(name, g):
+    # propagate updates each state in place; the states must keep the bits
+    # of alpha*E + (1-alpha) * (op @ E)
+    rng = np.random.default_rng(8)
+    mask = random_mask(rng, g)
+    e0 = rng.dirichlet([1.0, 1.0], size=g.n)
+    cfg = PropagationConfig(alpha=0.35, k_prop=7)
+    got = propagate(propagation_operator(g, mask), e0, cfg)
+    want = coo_states(g, mask, e0, cfg)[1]
+    assert len(got) == len(want)
+    for k, (a, b) in enumerate(zip(got, want)):
+        np.testing.assert_array_equal(a, b, err_msg=f"E_{k}")
 
 
 def einsum_lpl_gradient(g, mask, e0, cfg, pos, neg):
@@ -235,6 +251,25 @@ def test_lpl_gradient_matches_einsum_form(name, g):
     got = recorded_lpl_gradient(g, mask, e0, cfg, pos, neg)
     old = einsum_lpl_gradient(g, mask, e0, cfg, pos, neg)
     assert np.abs(got - old).max() <= 1e-13 * np.abs(old).max()
+
+
+@pytest.mark.parametrize("name,g", EDGED)
+def test_lpl_at_matches_lpl_loss(name, g):
+    # the line search's loss on anchor arrays read once, against the checked
+    # lpl_loss and the plain means on the same states, over ten problems a
+    # graph: a one-ulp slip in a mean shows on only some of them
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        mask, e0 = random_mask(rng, g), rng.dirichlet([1.0, 1.0], size=g.n)
+        cfg = PropagationConfig(alpha=float(rng.uniform(0.2, 0.8)), k_prop=int(rng.integers(1, 6)))
+        nodes, k = rng.permutation(g.n), int(rng.integers(1, g.n))
+        pos, neg = np.sort(nodes[:k]), np.sort(nodes[k:])
+        loss, states = _lpl_at(g, mask, e0, cfg, pos, neg)
+        for a, b in zip(states, coo_states(g, mask, e0, cfg)[1]):
+            np.testing.assert_array_equal(a, b)
+        final = states[-1]
+        plain = float(np.mean(np.log(final[pos, 1] + LOG_EPS))) + float(np.mean(np.log(final[neg, 0] + LOG_EPS)))
+        assert loss == lpl_loss(final, pos, neg) == plain
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16, reason="longdouble is no wider than float64")

@@ -106,3 +106,18 @@ def test_bench_pairs_and_out_flags(monkeypatch, tmp_path):
     assert sum(args[0] == "perfbench/run.py" for _, args in calls) == 6
     with pytest.raises(SystemExit):
         module.main(["--parent", str(tmp_path), "--pairs", "1"])
+
+
+def test_bench_workload_flag_pairs_only_the_named_workloads(monkeypatch, tmp_path):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    module = load("bench_classifier_step")
+    calls = bench_stub(module, monkeypatch)
+    monkeypatch.setattr(module, "WORKLOADS", ("gpl_h07_n4k", "sweep_h_n1k"))
+    out = tmp_path / "sweep.json"
+    assert module.main(["--parent", str(tmp_path), "--pairs", "2", "--out", str(out),
+                        "--workload", "sweep_h_n1k"]) == 0
+    runs = [args for _, args in calls if args[0] == "perfbench/run.py"]
+    assert len(runs) == 4 and all(args[2] == "sweep_h_n1k" for args in runs)
+    assert list(json.loads(out.read_text())["end_to_end"]) == ["sweep_h_n1k"]
+    with pytest.raises(SystemExit):
+        module.main(["--parent", str(tmp_path), "--workload", "no_such_workload"])
