@@ -44,6 +44,7 @@ def heterophily_influence(op, e0, cfg, a: int, b: int) -> float:
     Central finite differences on row b of the initial beliefs, moving the
     pair of entries in opposite directions so the row stays on the simplex.
     """
+    a, b = _node_ids(op.shape[0], [a, b], error=ValueError)[0]
     if a == b:
         raise ValueError("source and target must differ")
     hi, lo = np.array(e0, copy=True), np.array(e0, copy=True)
@@ -120,6 +121,8 @@ def irreducibility_diagnostic(scores) -> float:
     which breaks the identifiability assumption behind prior estimation.
     """
     s = np.asarray(scores, dtype=np.float64)
+    if s.size == 0:
+        raise ValueError("score set is empty")
     if not np.all((s >= 0) & (s <= 1)):  # NaN fails both comparisons
         raise ValueError("scores must lie in [0, 1]")
     return float(np.quantile(s, 0.99))

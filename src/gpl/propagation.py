@@ -70,6 +70,8 @@ def lpl_loss(beliefs, positives, negatives) -> float:
     Minimizing L drives anchor beliefs toward their known signs. The negative
     term is dropped when no negatives are identified.
     """
+    if beliefs.ndim != 2 or beliefs.shape[1] != 2:
+        raise PropagationError(f"beliefs must be n x 2, got shape {beliefs.shape}")
     return _lpl(beliefs, *_check_anchor_sets(beliefs.shape[0], positives, negatives))
 
 

@@ -19,7 +19,7 @@ from gpl.graph import (
     rewire_to_heterophily,
 )
 from gpl.metrics import check_aggregation_contraction, dpn_distance, f1_score
-from gpl.propagation import PropagationConfig, PropagationError, lpl_gradient, optimize_mask, propagate
+from gpl.propagation import PropagationConfig, PropagationError, lpl_gradient, lpl_loss, optimize_mask, propagate
 from gpl.synth import DatasetError, PlantedConfig, generate_planted, load_dataset, make_pu_split
 from gpl.trainer import TrainConfig, TrainError, run_gpl
 
@@ -81,6 +81,10 @@ CASES = {
                                    "belief states must be 4 x 2 on a graph of 4 nodes, got shape (4, 3)",
                                    lambda *_: lpl_gradient(G, init_mask(G), [np.full((N, 3), 0.5)] * 3, CFG,
                                                            [0], [1])),
+    "lpl_loss-one_dimensional": (PropagationError, "beliefs must be n x 2, got shape (8,)",
+                                 lambda *_: lpl_loss(np.full(8, 0.5), [0], [1])),
+    "lpl_loss-three_columns": (PropagationError, "beliefs must be n x 2, got shape (8, 3)",
+                               lambda *_: lpl_loss(np.full((8, 3), 0.5), [0], [1])),
     "dpn_distance-rows": (ValueError, "embeddings have 3 rows but the graph has 4 nodes",
                           lambda *_: dpn_distance(np.zeros((N - 1, 2)), G, propagation_operator(G, None))),
     "check_aggregation_contraction-rows": (ValueError, "embeddings have 3 rows but the graph has 4 nodes",

@@ -117,6 +117,14 @@ class TestHeterophilyInfluence:
                                   PropagationConfig(alpha=0.5, k_prop=1), 1, 1)
 
 
+    @pytest.mark.parametrize("a, b, bad", [(3, 0, 3), (-1, 0, -1), (0, 3, 3), (0, -1, -1)])
+    def test_out_of_range_node_rejected(self, path3, a, b, bad):
+        # -1 would otherwise read node 2's row
+        with pytest.raises(ValueError, match=f"node id {bad} is out of range for 3 nodes"):
+            heterophily_influence(propagation_operator(path3, None), pure_beliefs(path3.labels),
+                                  PropagationConfig(alpha=0.5, k_prop=1), a, b)
+
+
 class TestInfluenceSum:
     def test_star_identity(self):
         g = star5()
@@ -145,6 +153,12 @@ class TestInfluenceSum:
             e0 = probe_beliefs(g.n, a)
             _, _, residual = check_influence_sum(g, mask, e0, cfg, a)
             assert residual <= 1e-6
+
+    @pytest.mark.parametrize("a", [5, -1])
+    def test_out_of_range_target_rejected(self, a):
+        g = star5()
+        with pytest.raises(ValueError, match=f"node id {a} is out of range for 5 nodes"):
+            check_influence_sum(g, None, probe_beliefs(g.n, 0), PropagationConfig(alpha=0.5, k_prop=2), a)
 
     def test_identity_needs_pure_negative_start(self):
         # the decomposition is tight only when every non-probed node starts
@@ -241,6 +255,10 @@ class TestIrreducibility:
     def test_score_range_checked(self):
         with pytest.raises(ValueError):
             irreducibility_diagnostic([1.2])
+
+    def test_empty_score_set_rejected(self):
+        with pytest.raises(ValueError, match="score set is empty"):
+            irreducibility_diagnostic([])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_score_rejected(self, bad):

@@ -1,12 +1,12 @@
 """Smoke runs of the scripts at tiny sizes: each figure script's run(args)
-exits 0 and writes its CSVs, and bench_classifier_step.py's step timer
-returns a raw and a probe-scaled time per shape. That script's paired
-benchmark runs are only checked with a stand-in for subprocess.run: for
-real they take minutes."""
+exits 0 and writes its CSVs. bench_pairs.py's paired benchmark runs are
+only checked with a stand-in for subprocess.run: for real they take
+minutes."""
 
 import csv
 import importlib.util
 import json
+import os
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -44,80 +44,77 @@ def test_script_writes_its_csvs(name, tmp_path):
         assert len(rows) > 1 and all(len(r) == len(rows[0]) for r in rows), rel
 
 
-def test_bench_step_timer_times_each_size(monkeypatch):
-    # the script sets OPENBLAS_NUM_THREADS on import; monkeypatch restores it
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    module = load("bench_classifier_step")
-    assert module.STEP_SHAPES["cora_2708x1433"][:3] == (2708, 1433, 3.9)
-    monkeypatch.setattr(module, "STEP_SHAPES", {"200": (200, 8, 10.0, 3), "wide": (100, 40, 3.9, 2)})
-    times = module.step_times()
-    assert list(times) == ["200", "wide"]
-    assert all(set(t) == {"raw", "scaled"} and min(t.values()) > 0 for t in times.values())
-
-
-def bench_stub(module, monkeypatch):
-    """Stand-in for subprocess.run: (calls made, as (tree, args))."""
+def bench_stub(module, monkeypatch, faults={}):
+    """Stand-in for subprocess.run: (calls made, as (tree, args)). A run
+    prints its tree as its env, reports 1.0 in the change and 2.0 in a
+    parent, and adds what faults holds for its tree."""
     calls = []
-    result = {"correct": True, "failed": 0, "metrics": {m: {"value": 1.0} for m in module.METRICS}}
 
-    def run(cmd, cwd, **kwargs):
+    def run(cmd, cwd, env, **kwargs):
+        assert env["PYTHONPATH"] == os.path.join(cwd, "src")
         calls.append((cwd, cmd[1:]))
-        out = {k: {"raw": 1.0, "scaled": 2.0} for k in module.STEP_SHAPES} if cmd[-1] == "--step-times" else result
-        return SimpleNamespace(stdout=f"env x\n{json.dumps(out)}\n")
+        value = 1.0 if cwd == module.ROOT else 2.0
+        result = {"correct": True, "failed": 0, "metrics": {m: {"value": value} for m in module.METRICS},
+                  **faults.get(cwd, {})}
+        return SimpleNamespace(stdout=f"env {cwd}\n{json.dumps(result)}\n")
 
     monkeypatch.setattr(module.subprocess, "run", run)
     monkeypatch.setattr(module, "WORKLOADS", ("gpl_h07_n4k",))
     return calls
 
 
-def test_bench_times_each_tree_with_its_own_step_timer(monkeypatch, tmp_path):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    module = load("bench_classifier_step")
+def test_bench_runs_perfbench_in_each_tree_in_alternating_pairs(monkeypatch, tmp_path):
+    module = load("bench_pairs")
     calls = bench_stub(module, monkeypatch)
     monkeypatch.setattr(module, "PAIRS", 2)
-    monkeypatch.setattr(module, "OUT", str(tmp_path / "bench.json"))
-    parent = tmp_path / "parent"
-    assert module.main(["--parent", str(parent)]) == 0
-    # run_tree runs each command in its tree, on that tree's package, and
-    # both trees run this script's timer; they take alternating turns,
-    # parent first
-    timer = [str(SCRIPTS / "bench_classifier_step.py"), "--step-times"]
-    timers = [(cwd, args) for cwd, args in calls if args[-1] == "--step-times"]
-    assert timers == [(str(parent), timer), (module.ROOT, timer), (module.ROOT, timer), (str(parent), timer)]
-    report = json.loads((tmp_path / "bench.json").read_text())
-    assert report["pairs"] == 2
-    assert set(report["step_us"]) == {"shapes", *module.STEP_SHAPES}
-    assert report["step_us"]["1000"]["raw"]["parent"]["runs"] == [1.0, 1.0]
-    assert report["step_us"]["1000"]["scaled"]["change"]["runs"] == [2.0, 2.0]
+    parent, out = tmp_path / "parent", tmp_path / "bench.json"
+    assert module.main(["--parent", str(parent), "--out", str(out)]) == 0
+    # each run is perfbench/run.py in its own tree, on that tree's package;
+    # the trees alternate, parent first in even pairs
+    run = ["perfbench/run.py", "--workload", "gpl_h07_n4k", "--seed", "0"]
+    assert calls == [(str(parent), run), (module.ROOT, run), (module.ROOT, run), (str(parent), run)]
+    report = json.loads(out.read_text())
+    assert list(report) == ["what", "env", "seed", "pairs", "end_to_end"]
+    assert report["env"] == {"parent": f"env {parent}", "change": f"env {module.ROOT}"} and report["pairs"] == 2
+    wall = report["end_to_end"]["gpl_h07_n4k"]["wall_s"]
+    assert (wall["parent"]["runs"], wall["change"]["runs"], wall["change_lower_in_pairs"]) == ([2.0] * 2, [1.0] * 2, 2)
+
+
+@pytest.mark.parametrize("fault", [{"correct": False}, {"failed": 1}], ids=["incorrect", "failed"])
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_bench_stops_at_an_incorrect_or_failed_run(monkeypatch, tmp_path, side, fault):
+    module = load("bench_pairs")
+    parent, out = tmp_path / "parent", tmp_path / "bench.json"
+    bench_stub(module, monkeypatch, {str(parent) if side == "parent" else module.ROOT: fault})
+    with pytest.raises(SystemExit, match=f"^{side} gpl_h07_n4k: incorrect or failed calls"):
+        module.main(["--parent", str(parent), "--pairs", "2", "--out", str(out)])
+    assert not out.exists()
 
 
 def test_bench_pairs_and_out_flags(monkeypatch, tmp_path):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    module = load("bench_classifier_step")
+    module = load("bench_pairs")
     calls = bench_stub(module, monkeypatch)
-    default_out = tmp_path / "default.json"
-    monkeypatch.setattr(module, "OUT", str(default_out))
     out = tmp_path / "other.json"
     assert module.main(["--parent", str(tmp_path), "--pairs", "3", "--out", str(out)]) == 0
-    assert not default_out.exists()
     report = json.loads(out.read_text())
-    assert report["pairs"] == 3
-    assert report["end_to_end"]["gpl_h07_n4k"]["wall_s"]["change"]["runs"] == [1.0] * 3
-    assert sum(args[0] == "perfbench/run.py" for _, args in calls) == 6
+    assert report["pairs"] == 3 and report["end_to_end"]["gpl_h07_n4k"]["wall_s"]["change"]["runs"] == [1.0] * 3
+    assert len(calls) == 6
+    # --out is required, so no run overwrites a committed report by default
     with pytest.raises(SystemExit):
-        module.main(["--parent", str(tmp_path), "--pairs", "1"])
+        module.main(["--parent", str(tmp_path)])
+    with pytest.raises(SystemExit):
+        module.main(["--parent", str(tmp_path), "--pairs", "1", "--out", str(tmp_path / "one.json")])
+    assert len(calls) == 6 and not (tmp_path / "one.json").exists()
 
 
 def test_bench_workload_flag_pairs_only_the_named_workloads(monkeypatch, tmp_path):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    module = load("bench_classifier_step")
+    module = load("bench_pairs")
     calls = bench_stub(module, monkeypatch)
     monkeypatch.setattr(module, "WORKLOADS", ("gpl_h07_n4k", "sweep_h_n1k"))
     out = tmp_path / "sweep.json"
     assert module.main(["--parent", str(tmp_path), "--pairs", "2", "--out", str(out),
                         "--workload", "sweep_h_n1k"]) == 0
-    runs = [args for _, args in calls if args[0] == "perfbench/run.py"]
-    assert len(runs) == 4 and all(args[2] == "sweep_h_n1k" for args in runs)
+    assert len(calls) == 4 and all(args[2] == "sweep_h_n1k" for _, args in calls)
     assert list(json.loads(out.read_text())["end_to_end"]) == ["sweep_h_n1k"]
     with pytest.raises(SystemExit):
-        module.main(["--parent", str(tmp_path), "--workload", "no_such_workload"])
+        module.main(["--parent", str(tmp_path), "--out", str(out), "--workload", "no_such_workload"])
