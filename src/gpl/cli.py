@@ -99,7 +99,7 @@ def cmd_synth(args) -> int:
     cfgs = [_planted_config(args, h, args.seed) for h in _ruled_list("--h", "h", args.h)]
     for pcfg in cfgs:  # every value was checked before the first write
         g = generate_planted(pcfg)
-        out = args.out if len(cfgs) == 1 else os.path.join(args.out, f"h{pcfg.h:g}")
+        out = args.out if len(cfgs) == 1 else os.path.join(args.out, "h" + np.format_float_positional(pcfg.h, trim="-"))
         save_dataset(g, out)
         print(f"wrote {out} (n={g.n}, m={g.m}, h={heterophily_ratio(g):.4f})")
     return 0
@@ -335,6 +335,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -59,8 +59,7 @@ def estimate_prior(scores_p, scores_u, q_floor: float | None = None) -> PriorEst
     q_p = _upper_tail(sp_, cand)
     admissible = q_p >= q_floor
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(q_p > 0, q_u / np.where(q_p > 0, q_p, 1.0), np.inf)
+    ratio = np.where(q_p > 0, q_u / np.where(q_p > 0, q_p, 1.0), np.inf)
 
     curve = np.column_stack([cand, q_u, q_p, ratio, admissible])
     if not admissible.any():

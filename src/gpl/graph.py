@@ -146,17 +146,24 @@ class EdgeMask:
 
 
 def _node_ids(n, *sets, error=GraphError, what="node", disjoint=False):
-    """Each set as an int64 array of ids in [0, n); int64 arrays pass through
-    uncopied. A boolean or non-integer set is rejected, not cast (a mask
-    would read as the ids 0 and 1); an empty one is empty whatever its
-    dtype. With disjoint, no id may appear twice, within or across sets. A
-    fault raises `error`, naming the dtype, the first id out of range, or
-    else the smallest repeated id."""
+    """Each set as a 1-d int64 array of ids in [0, n); int64 arrays pass
+    through uncopied. A bare id, a boolean or non-integer set, or a boolean
+    among integer ids is rejected, not cast (a mask would read as the ids 0
+    and 1); an empty set is empty whatever its dtype. With disjoint, no id
+    may appear twice, within or across sets. A fault raises `error`, naming
+    the dimensions, the dtype, the first id out of range, or else the
+    smallest repeated id."""
     out = []
     for nodes in sets:
-        raw = nodes if isinstance(nodes, np.ndarray) else np.asarray(list(nodes))
+        items = nodes if isinstance(nodes, np.ndarray) or not np.iterable(nodes) else list(nodes)
+        raw = items if isinstance(items, np.ndarray) else np.asarray(items)
+        if raw.ndim != 1:
+            raise error(f"{what} ids must be a 1-d set, got a {raw.ndim}-d input")
         if raw.size and raw.dtype.kind not in "iu":
             raise error(f"{what} ids must be integers (not boolean masks), got dtype {raw.dtype}")
+        # numpy reads [True, 2] as int64, so only the items show the boolean
+        if items is not raw and any(isinstance(v, (bool, np.bool_)) for v in items):
+            raise error(f"{what} ids must be integers (not boolean masks), got a boolean among integers")
         ids = raw.astype(np.int64, copy=False)
         # read as uint64, a negative id is at least 2**63; one pass, where min and max take two
         if ids.size and ids.view(np.uint64).max() >= n:

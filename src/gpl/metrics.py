@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logit
 
+from .cpe import _as_scores
 from .gnn import Workspace, forward, init_classifier, loss_gradients, pu_loss
 from .graph import (EdgeMask, GraphError, SparseGraph, _edge_weights, _node_ids, build_graph, gcn_operator,
                     propagation_operator)
@@ -107,8 +108,6 @@ def check_aggregation_contraction(g: SparseGraph, mask: EdgeMask | None, embeddi
     measures; callers decide whether a violation fails their run.
     """
     x = np.asarray(embeddings, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
     op = propagation_operator(g, mask)
     return dpn_distance(x, g, op), dpn_distance(op @ x, g, op)
 
@@ -120,12 +119,7 @@ def irreducibility_diagnostic(scores) -> float:
     a value far below 1 signals that no node region is confidently positive,
     which breaks the identifiability assumption behind prior estimation.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    if s.size == 0:
-        raise ValueError("score set is empty")
-    if not np.all((s >= 0) & (s <= 1)):  # NaN fails both comparisons
-        raise ValueError("scores must lie in [0, 1]")
-    return float(np.quantile(s, 0.99))
+    return float(np.quantile(_as_scores(scores, "posterior"), 0.99))
 
 
 def edge_weight_means(g: SparseGraph, mask: EdgeMask | None):
@@ -280,7 +274,7 @@ def check_influence_suite() -> CheckResult:
         )
         a = int(rng.integers(n))
         # everyone pure negative except the probed source
-        e0 = _anchor_beliefs(n, a, np.arange(n) != a)
+        e0 = _anchor_beliefs(n, [a], np.delete(np.arange(n), a))
         return check_influence_sum(g, mask, e0, cfg, a)[2]
 
     return _suite("influence_sum_identity", 50, 3, 1e-6, measure)

@@ -1,8 +1,7 @@
 """Acceptance gate: one test per shipped claim, one printed PASS/FAIL line
 per clause with the measured value next to the bound it is held to.
 
-Run under pytest (use -s to see the lines as they print) or directly via
-`python tests/test_acceptance.py` for the plain report. The planted-graph
+Run under pytest; use -s to see the lines as they print. The planted-graph
 protocols pin every seed, so each line is reproducible bit for bit.
 """
 
@@ -208,25 +207,3 @@ def test_10_train_determinism():
     report(10, "repeated training is byte-identical", ok, detail)
     assert ok, detail
 
-
-if __name__ == "__main__":
-    import sys
-    import traceback
-
-    failures = 0
-    for fn in (test_01_gradient_oracles, test_02_belief_conservation,
-               test_03_influence_sum_identity, test_04_aggregation_contraction,
-               test_05_prior_estimation_accuracy,
-               test_06_prior_error_heterophily_trend,
-               test_07_edge_weight_separation, test_08_end_to_end_f1_gap,
-               test_09_citation_graph_benchmark, test_10_train_determinism):
-        try:
-            fn()
-        except AssertionError:
-            failures += 1
-        except pytest.skip.Exception:
-            pass
-        except Exception:
-            failures += 1
-            traceback.print_exc()
-    sys.exit(1 if failures else 0)

@@ -62,6 +62,14 @@ class TestSynth:
         assert abs(heterophily_ratio(load_dataset(out / "h0.2")) - 0.2) < 0.02
         assert abs(heterophily_ratio(load_dataset(out / "h0.6")) - 0.6) < 0.02
 
+    def test_close_h_values_get_their_own_directories(self, tmp_path):
+        # both print as 0.123457 under %g; each directory reads back as its value
+        out = tmp_path / "multi"
+        rc = main(["synth", "--n", "40", "--h", "0.1234567,0.12345671,0,1", "--avg-degree", "4",
+                   "--out", str(out)])
+        assert rc == 0
+        assert sorted(p.name for p in out.iterdir()) == ["h0", "h0.1234567", "h0.12345671", "h1"]
+
     def test_bad_h_exits_nonzero(self, tmp_path, capsys):
         rc = main(["synth", "--n", "40", "--h", "1.5", "--out",
                    str(tmp_path / "x")])

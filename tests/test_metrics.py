@@ -124,6 +124,13 @@ class TestHeterophilyInfluence:
             heterophily_influence(propagation_operator(path3, None), pure_beliefs(path3.labels),
                                   PropagationConfig(alpha=0.5, k_prop=1), a, b)
 
+    @pytest.mark.parametrize("a, b", [(True, 0), (0, True)])
+    def test_boolean_node_rejected(self, path3, a, b):
+        # [True, 0] reads as int64, where True would be node 1
+        with pytest.raises(ValueError, match="not boolean masks"):
+            heterophily_influence(propagation_operator(path3, None), pure_beliefs(path3.labels),
+                                  PropagationConfig(alpha=0.5, k_prop=1), a, b)
+
 
 class TestInfluenceSum:
     def test_star_identity(self):
