@@ -201,7 +201,7 @@ def backward_and_step(state: ClassifierState, work: Workspace, lr: float):
     textbook operand order, so the bits are those of the textbook update.
     lr=0 leaves the parameters unchanged.
     """
-    if lr < 0:
+    if not lr >= 0:  # NaN too
         raise ClassifierError("lr must be >= 0")
     grad, loss = loss_gradients(state, work)
     state.t += 1

@@ -151,12 +151,15 @@ def _node_ids(n, *sets, error=GraphError, what="node", disjoint=False):
     among integer ids is rejected, not cast (a mask would read as the ids 0
     and 1); an empty set is empty whatever its dtype. With disjoint, no id
     may appear twice, within or across sets. A fault raises `error`, naming
-    the dimensions, the dtype, the first id out of range, or else the
-    smallest repeated id."""
+    the dimensions (or a ragged input), the dtype, the first id out of
+    range, or else the smallest repeated id."""
     out = []
     for nodes in sets:
         items = nodes if isinstance(nodes, np.ndarray) or not np.iterable(nodes) else list(nodes)
-        raw = items if isinstance(items, np.ndarray) else np.asarray(items)
+        try:
+            raw = items if isinstance(items, np.ndarray) else np.asarray(items)
+        except (TypeError, ValueError):  # ragged
+            raise error(f"{what} ids must be a 1-d set, got a ragged input") from None
         if raw.ndim != 1:
             raise error(f"{what} ids must be a 1-d set, got a {raw.ndim}-d input")
         if raw.size and raw.dtype.kind not in "iu":

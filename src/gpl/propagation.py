@@ -124,9 +124,10 @@ def lpl_gradient(g: SparseGraph, mask: EdgeMask, states, cfg: PropagationConfig,
         if s.shape != (g.n, 2):
             raise PropagationError(f"belief states must be {g.n} x 2 on a graph of {g.n} nodes, got shape {s.shape}")
     sums = states[0][:, 0] + states[0][:, 1]
-    bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-12)
-    if bad.size:
-        raise PropagationError(f"belief row {bad[0]} sums to {float(sums[bad[0]])}, not 1")
+    ok = np.abs(sums - 1.0) <= 1e-12  # False for NaN, where a > test would pass it
+    if not ok.all():
+        bad = np.flatnonzero(~ok)[0]
+        raise PropagationError(f"belief row {bad} sums to {float(sums[bad])}, not 1")
 
     i, j = g.edges[:, 0], g.edges[:, 1]
     op = propagation_operator(g, mask)
@@ -196,9 +197,8 @@ def optimize_mask(
     Stops early once the relative loss change drops below 1e-5. Returns a
     new mask, holding its operator; the input is untouched.
     """
-    if steps < 1:
-        raise PropagationError("steps must be >= 1")
-    if lr < 0:
+    steps = _integer(steps, "steps", 1, PropagationError)
+    if not lr >= 0:  # NaN too
         raise PropagationError("lr must be >= 0")
     positives, negatives = _check_anchor_sets(g.n, positives, negatives)
     e0 = _anchor_beliefs(g.n, positives, negatives)

@@ -148,23 +148,23 @@ def _warm_start(g: SparseGraph, split: PUSplit, cfg: TrainConfig, op):
 def run_gpl(g: SparseGraph, split: PUSplit, cfg: TrainConfig):
     """The full alternating loop. Returns (classifier, mask, prior, trace).
 
-    Per epoch: (a) anchor beliefs from the observed positives plus the
-    current selection, (b) mask descent on the propagation loss, (c) refit
-    the classifier on the updated operator with the grouped loss, (d) prior
-    estimate from the refit scores, (e) top-fraction selection feeding the
-    next epoch. Deterministic for a fixed config, including the seed.
+    Per epoch: (a) top-fraction selection from the latest scores and prior,
+    (b) anchor beliefs from the observed positives plus that selection, (c)
+    mask descent on the propagation loss, (d) refit the classifier on the
+    updated operator with the grouped loss, (e) prior estimate from the
+    refit scores. Deterministic for a fixed config, including the seed.
     """
     _check_split(g, split)
     pcfg = PropagationConfig(alpha=cfg.alpha, k_prop=cfg.k_prop)
     mask = init_mask(g)
 
-    # bootstrap: no selection exists yet, so warm a classifier on the
-    # initial structure with all of U treated negative and estimate once
+    # bootstrap: no selection exists yet, so warm a classifier on the initial
+    # structure with all of U treated negative; epoch 1 selects from its estimate
     z, prior = _warm_start(g, split, cfg, gcn_operator(g, mask))
-    sel = select_top(split.U, z, prior.pi_hat)
 
     rows = []
     for epoch in range(1, cfg.outer_epochs + 1):
+        sel = select_top(split.U, z, prior.pi_hat)
         pos_anchor = np.concatenate([split.P, sel.s_set])
         neg_anchor = sel.complement
 
@@ -187,7 +187,6 @@ def run_gpl(g: SparseGraph, split: PUSplit, cfg: TrainConfig):
         work = Workspace(gcn_operator(g, mask), g.features, cfg.hidden, pos_anchor, neg_anchor)
         clf, clf_loss, z = _fit(cfg, work, cfg.clf_steps_per_epoch)
         prior, row = _epoch_row(g, split, edge_weight_means(g, mask), epoch, lpl, clf_loss, z)
-        sel = select_top(split.U, z, prior.pi_hat)
         rows.append(row)
 
     return clf, mask, prior, TrainTrace(tuple(rows))

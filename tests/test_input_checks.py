@@ -42,6 +42,12 @@ def _nan_classifier(tmp_path, _):
     return loss_gradients(state, Workspace(gcn_operator(G, None), G.features, 3, [0], [1]))
 
 
+def _nan_belief_row(tmp_path, _):
+    e0 = np.full((N, 2), 0.5)
+    e0[3, 0] = np.nan
+    return lpl_gradient(G, init_mask(G), [e0] * 3, CFG, [0], [1])
+
+
 def _nan_lpl_loss(tmp_path, monkeypatch):
     # lpl_loss clamps its logs, so no graph or anchor set makes it non-finite
     monkeypatch.setattr(gpl.trainer, "lpl_loss", lambda *args: float("nan"))
@@ -70,6 +76,12 @@ CASES = {
                                lambda *_: optimize_mask(G, init_mask(G), CFG, [0], [1], steps=0, lr=0.1)),
     "optimize_mask-negative_lr": (PropagationError, "lr must be >= 0",
                                   lambda *_: optimize_mask(G, init_mask(G), CFG, [0], [1], steps=1, lr=-0.1)),
+    "optimize_mask-nan_lr": (PropagationError, "lr must be >= 0",
+                             lambda *_: optimize_mask(G, init_mask(G), CFG, [0], [1], steps=1, lr=np.nan)),
+    "optimize_mask-fractional_steps": (PropagationError, "steps must be an integer, got 2.5",
+                                       lambda *_: optimize_mask(G, init_mask(G), CFG, [0], [1], steps=2.5, lr=0.1)),
+    "optimize_mask-boolean_steps": (PropagationError, "steps must be an integer, got True",
+                                    lambda *_: optimize_mask(G, init_mask(G), CFG, [0], [1], steps=True, lr=0.1)),
     "optimize_mask-nan_start": (PropagationError, "non-finite loss at initialization",
                                 lambda *_: optimize_mask(G, EdgeMask(np.full(G.m, np.nan)), CFG, [0], [1],
                                                          steps=1, lr=0.1)),
@@ -81,6 +93,7 @@ CASES = {
                                    "belief states must be 4 x 2 on a graph of 4 nodes, got shape (4, 3)",
                                    lambda *_: lpl_gradient(G, init_mask(G), [np.full((N, 3), 0.5)] * 3, CFG,
                                                            [0], [1])),
+    "lpl_gradient-nan_row": (PropagationError, "belief row 3 sums to nan, not 1", _nan_belief_row),
     "lpl_loss-one_dimensional": (PropagationError, "beliefs must be n x 2, got shape (8,)",
                                  lambda *_: lpl_loss(np.full(8, 0.5), [0], [1])),
     "lpl_loss-three_columns": (PropagationError, "beliefs must be n x 2, got shape (8, 3)",
@@ -94,6 +107,10 @@ CASES = {
                                       lambda *_: backward_and_step(
                                           init_classifier(2, 3, seed=0),
                                           Workspace(gcn_operator(G, None), G.features, 3, [0], [1]), -0.1)),
+    "backward_and_step-nan_lr": (ClassifierError, "lr must be >= 0",
+                                 lambda *_: backward_and_step(
+                                     init_classifier(2, 3, seed=0),
+                                     Workspace(gcn_operator(G, None), G.features, 3, [0], [1]), np.nan)),
     "select_top-pi_hat_above_1": (ClassifierError, "pi_hat must lie in [0, 1]",
                                   lambda *_: select_top([0, 1], np.zeros(N), 1.5)),
     "run_gpl-nan_lpl_loss": (TrainError, "non-finite lpl_loss at epoch 1", _nan_lpl_loss),

@@ -1,9 +1,9 @@
 """Every public function that takes node ids reads them through one checked
-reader (graph._node_ids). An id outside [0, n), a bare id or a 2-d set, a
-float or boolean set, a boolean among integer ids, and a repeated id where
-the function's sets must be disjoint all raise the function's own module
-error, naming the id, the shape or the dtype: never an IndexError, a
-TypeError, or a returned value."""
+reader (graph._node_ids). An id outside [0, n), a bare id, a 2-d or ragged
+set, a float or boolean set, a boolean among integer ids, and a repeated id
+where the function's sets must be disjoint all raise the function's own
+module error, naming the id, the shape or the dtype: never an IndexError, a
+TypeError, a numpy ValueError, or a returned value."""
 
 import numpy as np
 import pytest
@@ -63,6 +63,7 @@ CASES = {
     "bool": (LABELS == 1, "got dtype bool"),
     "repeat": ([1, 2, 1], "id 1 appears more than once"),
     "scalar": (0, "ids must be a 1-d set, got a 0-d input"),
+    "ragged": ([[0, 1], [2]], "ids must be a 1-d set, got a ragged input"),
     # numpy reads [True, 2] as int64, where True would be node 1
     "bool_among_ints": ([True, 2], "(not boolean masks), got a boolean among integers"),
 }

@@ -1,7 +1,8 @@
-"""Smoke runs of the scripts at tiny sizes: each figure script's run(args)
-exits 0 and writes its CSVs. bench_pairs.py's paired benchmark runs are
-only checked with a stand-in for subprocess.run: for real they take
-minutes."""
+"""Smoke runs of the scripts at tiny sizes: every figure script in scripts/
+has a case in CASES, and its run(args) exits 0 and writes its CSVs. Grids
+of runs have no script: they are `gpl sweep` commands, tested in
+test_cli.py. bench_pairs.py's paired benchmark runs are only checked with a
+stand-in for subprocess.run: for real they take minutes."""
 
 import csv
 import importlib.util
@@ -14,13 +15,8 @@ import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
+# figure script -> (its args at a tiny size, the CSVs it writes under --out)
 CASES = {
-    "fig_prior_error_vs_h": (dict(values="0.3,0.7", seeds="0", n=60),
-                             ["sweep_h/runs.csv", "sweep_h/aggregate.csv", "prior_error_vs_h.csv"]),
-    "fig_f1_vs_rp": (dict(values="0.5,0.9", seeds="0", h=0.7, n=60),
-                     ["sweep_rp/runs.csv", "sweep_rp/aggregate.csv"]),
-    "fig_k_sensitivity": (dict(values="1,2", seeds="0", h=0.5, n=60),
-                          ["sweep_k/runs.csv", "sweep_k/aggregate.csv"]),
     # no size flag: one seed at the script's own n=1000
     "fig_edge_weight_split": (dict(h=0.7, seeds=1), ["edge_weight_split.csv"]),
 }
@@ -31,6 +27,10 @@ def load(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_every_figure_script_has_a_smoke_run():
+    assert sorted(p.stem for p in SCRIPTS.glob("fig_*.py")) == sorted(CASES)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
