@@ -60,17 +60,17 @@ def init_classifier(d_in: int, hidden: int, seed: int) -> ClassifierState:
 class Workspace:
     """Everything a classifier step reads besides the parameters, for one
     operator `op`, feature matrix `X`, hidden size and the fit's id sets,
-    built once per fit: pos and neg, the positive and provisional-negative
-    ids as int64 arrays, read once here with graph._node_ids, no id in
-    both or twice in one; xs1T =
-    [op @ X | 1].T, the first aggregation with a ones row, held contiguous
-    as (D+1) x n (scores multiplies its .T view by [W1; b1], so the bias
-    comes with the product); opT = op.T, a view sharing op's arrays, for
-    the outer adjoint; and one n x hidden scratch array h1, which every
-    call writes before it reads. A step walks h1 in `blocks`, row slices of
-    about BLOCK_BYTES each, a whole number of BLOCK_ALIGN rows (the last
-    may be shorter), so each of its passes over the hidden layer can stay
-    in a per-core L2 cache.
+    built once per fit. op must be symmetric, as gcn_operator builds it
+    bit for bit: a step takes the outer adjoint op.T @ v as op @ v. Held:
+    pos and neg, the positive and provisional-negative ids as int64
+    arrays, read once here with graph._node_ids, no id in both or twice in
+    one; xs1T = [op @ X | 1].T, the first aggregation with a ones row, held
+    contiguous as (D+1) x n (scores multiplies its .T view by [W1; b1], so
+    the bias comes with the product); and one n x hidden scratch array h1,
+    which every call writes before it reads. A step walks h1 in `blocks`,
+    row slices of about BLOCK_BYTES each, a whole number of BLOCK_ALIGN
+    rows (the last may be shorter), so each of its passes over the hidden
+    layer can stay in a per-core L2 cache.
 
     Sharing a workspace leaves every result bit for bit the same. Against
     the textbook step (xs @ W1 + b1, a column sum for the b1 gradient), and
@@ -88,7 +88,6 @@ class Workspace:
         hidden = _integer(hidden, "hidden", 1, ClassifierError)
         self.pos, self.neg = _node_ids(n, positives, negatives, error=ClassifierError, disjoint=True)
         self.op, self.X = op, X
-        self.opT = op.T
         self.xs1T = np.vstack([(op @ X).T, np.ones(n)])
         self.h1 = np.empty((n, hidden))
         rows = max(1, BLOCK_BYTES // (8 * BLOCK_ALIGN * hidden)) * BLOCK_ALIGN
@@ -177,7 +176,7 @@ def loss_gradients(state: ClassifierState, work: Workspace):
     dpre2 *= z
     dpre2 *= np.subtract(1.0, z, out=z)
 
-    dq = work.opT @ dpre2  # adjoint of the outer aggregation
+    dq = work.op @ dpre2  # adjoint of the outer aggregation: op is symmetric
     grad = np.zeros_like(state.theta)
     k = state.W1b1.size
     g1, g2 = grad[:k].reshape(state.W1b1.shape), grad[k:-1].reshape(state.W2.shape)
@@ -201,8 +200,8 @@ def backward_and_step(state: ClassifierState, work: Workspace, lr: float):
     textbook operand order, so the bits are those of the textbook update.
     lr=0 leaves the parameters unchanged.
     """
-    if not lr >= 0:  # NaN too
-        raise ClassifierError("lr must be >= 0")
+    if not 0 <= lr < np.inf:  # NaN too
+        raise ClassifierError("lr must be finite and >= 0")
     grad, loss = loss_gradients(state, work)
     state.t += 1
     m, v = state.adam_m, state.adam_v
@@ -230,8 +229,9 @@ class SelectionResult:
 
 
 def select_top(u_nodes, z, pi_hat: float) -> SelectionResult:
-    """Top round(pi_hat * |U|) unlabeled nodes by score, where z holds one
-    score per graph node, so U's ids must lie in [0, len(z)).
+    """Top round(pi_hat * |U|) unlabeled nodes by score, where z is a
+    vector of one score per graph node, so U's ids must lie in [0, len(z)),
+    and every score over U must be finite: NaN has no rank.
 
     Rounding is half-up; score ties break toward the lower node index.
     A node id given twice is an error: it would land in both sets.
@@ -239,9 +239,15 @@ def select_top(u_nodes, z, pi_hat: float) -> SelectionResult:
     if not 0.0 <= pi_hat <= 1.0:
         raise ClassifierError("pi_hat must lie in [0, 1]")
     z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 1:
+        raise ClassifierError(f"scores must be a 1-d vector, got shape {z.shape}")
     (u,) = _node_ids(len(z), u_nodes, error=ClassifierError, disjoint=True)
+    zu = z[u]
+    bad = np.flatnonzero(~np.isfinite(zu))
+    if bad.size:
+        raise ClassifierError(f"score of node {u[bad[0]]} is {zu[bad[0]]}, not finite")
     k = int(np.floor(pi_hat * u.size + 0.5))
-    order = np.lexsort((u, -z[u]))
+    order = np.lexsort((u, -zu))
     chosen = np.sort(u[order[:k]])
     rest = np.sort(u[order[k:]])
     return SelectionResult(s_set=chosen, complement=rest)

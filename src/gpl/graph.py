@@ -278,11 +278,13 @@ def gcn_operator(g: SparseGraph, mask: EdgeMask | None) -> sp.csr_matrix:
     S = Dt^(-1/2) (M*A + I) Dt^(-1/2) with Dt the row sums of (M*A + I).
     Isolated nodes reduce to an identity row through their self-loop.
     Its sparsity pattern is cached per graph, as in propagation_operator.
+    Entry (i, j) is rounded as w_ij * (dinv_i * dinv_j), the same for (j, i),
+    so S equals S.T bit for bit and serves as its own adjoint.
     """
     lay = g._gcn_layout
     w = lay.slot_weights(_edge_weights(g, mask))
     dinv = 1.0 / np.sqrt(lay.row_sums(w))
-    return lay.matrix(lay.per_slot(dinv) * w * dinv[lay.indices])
+    return lay.matrix(w * (lay.per_slot(dinv) * dinv[lay.indices]))
 
 
 def heterophily_ratio(g: SparseGraph) -> float:

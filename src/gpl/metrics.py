@@ -19,14 +19,17 @@ from .synth import PlantedConfig, generate_planted
 
 def f1_score(pred, truth, eval_set) -> float:
     """F1 of the +1 class over eval_set; 0 when precision + recall is 0.
-    pred and truth must have the same length."""
+    pred and truth must be vectors of the same length."""
+    pred, truth = np.asarray(pred), np.asarray(truth)
+    for name, v in (("pred", pred), ("truth", truth)):
+        if v.ndim != 1:
+            raise GraphError(f"{name} must be a 1-d vector, got shape {v.shape}")
     if len(pred) != len(truth):
         raise GraphError(f"pred has {len(pred)} entries but truth has {len(truth)}")
     (idx,) = _node_ids(len(pred), eval_set)
     if idx.size == 0:
         raise GraphError("eval_set is empty")
-    p = np.asarray(pred)[idx]
-    t = np.asarray(truth)[idx]
+    p, t = pred[idx], truth[idx]
     tp = int(np.sum((p == 1) & (t == 1)))
     fp = int(np.sum((p == 1) & (t == -1)))
     fn = int(np.sum((p == -1) & (t == 1)))
@@ -45,10 +48,13 @@ def heterophily_influence(op, e0, cfg, a: int, b: int) -> float:
     Central finite differences on row b of the initial beliefs, moving the
     pair of entries in opposite directions so the row stays on the simplex.
     """
-    a, b = _node_ids(op.shape[0], [a, b], error=ValueError)[0]
+    n = op.shape[0]
+    a, b = _node_ids(n, [a, b], error=ValueError)[0]
     if a == b:
         raise ValueError("source and target must differ")
     hi, lo = np.array(e0, copy=True), np.array(e0, copy=True)
+    if hi.shape != (n, 2):
+        raise ValueError(f"initial beliefs must be {n} x 2, got shape {hi.shape}")
     hi[b, 1] += FD_STEP
     hi[b, 0] -= FD_STEP
     lo[b, 1] -= FD_STEP

@@ -198,8 +198,8 @@ def optimize_mask(
     new mask, holding its operator; the input is untouched.
     """
     steps = _integer(steps, "steps", 1, PropagationError)
-    if not lr >= 0:  # NaN too
-        raise PropagationError("lr must be >= 0")
+    if not 0 <= lr < np.inf:  # NaN too
+        raise PropagationError("lr must be finite and >= 0")
     positives, negatives = _check_anchor_sets(g.n, positives, negatives)
     e0 = _anchor_beliefs(g.n, positives, negatives)
     mask = EdgeMask(mask.theta.copy())

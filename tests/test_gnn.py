@@ -411,7 +411,7 @@ def blocked_step(state, work):
     dz[pos] -= 1.0 / (pos.size * (z[pos] + 1e-12))
     dz[neg] += 1.0 / (neg.size * (1.0 - z[neg] + 1e-12))
     dpre2 = dz * z * (1.0 - z)
-    dq = work.opT @ dpre2
+    dq = work.op @ dpre2
     g2 = work.h1.T @ dq[:, None]
     g1 = np.zeros_like(state.W1b1)
     for b in work.blocks:

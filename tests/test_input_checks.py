@@ -18,10 +18,13 @@ from gpl.graph import (
     propagation_operator,
     rewire_to_heterophily,
 )
-from gpl.metrics import check_aggregation_contraction, dpn_distance, f1_score
+from gpl.metrics import check_aggregation_contraction, dpn_distance, f1_score, heterophily_influence
 from gpl.propagation import PropagationConfig, PropagationError, lpl_gradient, lpl_loss, optimize_mask, propagate
 from gpl.synth import DatasetError, PlantedConfig, generate_planted, load_dataset, make_pu_split
 from gpl.trainer import TrainConfig, TrainError, run_gpl
+
+# a check must fire before numpy warns about the value it rejects
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 N = 4
 LABELS = np.array([1, -1, 1, -1])
@@ -74,10 +77,12 @@ CASES = {
                                lambda *_: propagate(propagation_operator(G, None), np.zeros((N + 1, 2)), CFG)),
     "optimize_mask-no_steps": (PropagationError, "steps must be >= 1",
                                lambda *_: optimize_mask(G, init_mask(G), CFG, [0], [1], steps=0, lr=0.1)),
-    "optimize_mask-negative_lr": (PropagationError, "lr must be >= 0",
+    "optimize_mask-negative_lr": (PropagationError, "lr must be finite and >= 0",
                                   lambda *_: optimize_mask(G, init_mask(G), CFG, [0], [1], steps=1, lr=-0.1)),
-    "optimize_mask-nan_lr": (PropagationError, "lr must be >= 0",
+    "optimize_mask-nan_lr": (PropagationError, "lr must be finite and >= 0",
                              lambda *_: optimize_mask(G, init_mask(G), CFG, [0], [1], steps=1, lr=np.nan)),
+    "optimize_mask-inf_lr": (PropagationError, "lr must be finite and >= 0",
+                             lambda *_: optimize_mask(G, init_mask(G), CFG, [0], [1], steps=1, lr=np.inf)),
     "optimize_mask-fractional_steps": (PropagationError, "steps must be an integer, got 2.5",
                                        lambda *_: optimize_mask(G, init_mask(G), CFG, [0], [1], steps=2.5, lr=0.1)),
     "optimize_mask-boolean_steps": (PropagationError, "steps must be an integer, got True",
@@ -103,16 +108,29 @@ CASES = {
     "check_aggregation_contraction-rows": (ValueError, "embeddings have 3 rows but the graph has 4 nodes",
                                            lambda *_: check_aggregation_contraction(G, None, np.zeros(N - 1))),
     "loss_gradients-nan_loss": (ClassifierError, "non-finite classification loss", _nan_classifier),
-    "backward_and_step-negative_lr": (ClassifierError, "lr must be >= 0",
+    "backward_and_step-negative_lr": (ClassifierError, "lr must be finite and >= 0",
                                       lambda *_: backward_and_step(
                                           init_classifier(2, 3, seed=0),
                                           Workspace(gcn_operator(G, None), G.features, 3, [0], [1]), -0.1)),
-    "backward_and_step-nan_lr": (ClassifierError, "lr must be >= 0",
+    "backward_and_step-nan_lr": (ClassifierError, "lr must be finite and >= 0",
                                  lambda *_: backward_and_step(
                                      init_classifier(2, 3, seed=0),
                                      Workspace(gcn_operator(G, None), G.features, 3, [0], [1]), np.nan)),
+    "backward_and_step-inf_lr": (ClassifierError, "lr must be finite and >= 0",
+                                 lambda *_: backward_and_step(
+                                     init_classifier(2, 3, seed=0),
+                                     Workspace(gcn_operator(G, None), G.features, 3, [0], [1]), np.inf)),
     "select_top-pi_hat_above_1": (ClassifierError, "pi_hat must lie in [0, 1]",
                                   lambda *_: select_top([0, 1], np.zeros(N), 1.5)),
+    "select_top-nan_score": (ClassifierError, "score of node 1 is nan, not finite",
+                             lambda *_: select_top([0, 1, 2, 3], [0.9, np.nan, 0.3, 0.2], 0.5)),
+    "select_top-2d_scores": (ClassifierError, "scores must be a 1-d vector, got shape (4, 1)",
+                             lambda *_: select_top([0, 1], np.zeros((N, 1)), 0.5)),
+    "f1_score-2d_pred": (GraphError, "pred must be a 1-d vector, got shape (4, 2)",
+                         lambda *_: f1_score([[1, -1]] * N, [[1, 1]] * N, [0, 1])),
+    "heterophily_influence-one_column": (ValueError, "initial beliefs must be 4 x 2, got shape (4, 1)",
+                                         lambda *_: heterophily_influence(propagation_operator(G, None),
+                                                                          np.full((N, 1), 0.5), CFG, 0, 1)),
     "run_gpl-nan_lpl_loss": (TrainError, "non-finite lpl_loss at epoch 1", _nan_lpl_loss),
 }
 

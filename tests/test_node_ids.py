@@ -23,6 +23,9 @@ from gpl.propagation import (
 from gpl.synth import PUSplit
 from gpl.trainer import TrainConfig, TrainError, run_baseline, run_gpl
 
+# a check must fire before numpy warns about the value it rejects
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 N = 6
 LABELS = np.array([1, -1, 1, -1, 1, -1])
 G = build_graph(N, [(i, i + 1) for i in range(N - 1)], np.arange(2 * N, dtype=float).reshape(N, 2), LABELS)

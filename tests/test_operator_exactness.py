@@ -1,5 +1,5 @@
 """Bit-for-bit checks of the fast paths against the plain formulations
-they replace: operators built from COO with scipy products, the plain
+they replace: operators built from COO matrices, the plain
 propagation recursion and anchor-loss means, a plain form of the
 one-vector mask-gradient arithmetic, and the quadratic tail counts of the
 prior estimator. Outputs and traces are held to exact equality, so
@@ -17,6 +17,7 @@ from gpl.graph import (
     EdgeMask,
     build_graph,
     gcn_operator,
+    init_mask,
     propagation_operator,
     rewire_to_heterophily,
 )
@@ -45,9 +46,12 @@ def coo_propagation(g, mask):
 
 
 def coo_gcn(g, mask):
+    # each entry as w_ij * (dinv_i * dinv_j), the symmetric rounding of S
     W = coo_adjacency(g, mask) + sp.eye(g.n, format="csr")
-    D = sp.diags(1.0 / np.sqrt(np.asarray(W.sum(axis=1)).ravel()))
-    return (D @ W @ D).tocsr()
+    dinv = 1.0 / np.sqrt(np.asarray(W.sum(axis=1)).ravel())
+    W = W.tocoo()
+    S = sp.coo_matrix((W.data * (dinv[W.row] * dinv[W.col]), (W.row, W.col)), shape=W.shape)
+    return S.tocsr().sorted_indices()
 
 
 def assert_same_csr(a, b):
@@ -94,6 +98,15 @@ def test_rewired_graph_gets_its_own_pattern():
     assert_same_csr(propagation_operator(r, mask), coo_propagation(r, mask))
     assert_same_csr(gcn_operator(r, mask), coo_gcn(r, mask))
     assert propagation_operator(r, None).indices is not propagation_operator(g, None).indices
+
+
+@pytest.mark.parametrize("n", [1000, 4000])
+def test_gcn_operator_is_exactly_symmetric(n):
+    # the classifier step takes the adjoint S.T @ v as S @ v
+    g = generate_planted(PlantedConfig(n=n, h=0.7, seed=n))
+    for mask in (None, init_mask(g), random_mask(np.random.default_rng(n), g)):
+        S = gcn_operator(g, mask)
+        assert (S != S.T).nnz == 0
 
 
 def test_mask_length_checked():
