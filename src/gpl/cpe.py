@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import _array, _real
+
 
 class PriorEstimationError(ValueError):
     """Raised when no admissible threshold survives the support floor."""
@@ -21,7 +23,7 @@ class PriorEstimate:
 
 
 def _as_scores(x, name) -> np.ndarray:
-    s = np.asarray(x, dtype=np.float64).ravel()
+    s = _array(x, f"{name} scores", ("n",), PriorEstimationError)
     if s.size == 0:
         raise PriorEstimationError(f"{name} score set is empty")
     if np.any((s < 0) | (s > 1)) or not np.all(np.isfinite(s)):
@@ -51,7 +53,7 @@ def estimate_prior(scores_p, scores_u, q_floor: float | None = None) -> PriorEst
     su = _as_scores(scores_u, "unlabeled")
     if q_floor is None:
         q_floor = max(10.0 / sp_.size, 0.05) if sp_.size >= 10 else 0.05
-    if not q_floor >= 0:  # NaN fails this too
+    if not _real(q_floor, "q_floor", PriorEstimationError) >= 0:  # NaN fails this too
         raise PriorEstimationError(f"q_floor must be >= 0, got {q_floor}")
 
     cand = np.unique(np.concatenate([sp_, su, [0.0]]))
@@ -79,6 +81,6 @@ def estimate_prior(scores_p, scores_u, q_floor: float | None = None) -> PriorEst
 def prior_error(pi_hat: float, pi_true: float) -> float:
     """Absolute estimation error |pi_hat - pi_true|."""
     for v, name in ((pi_hat, "pi_hat"), (pi_true, "pi_true")):
-        if not 0.0 <= v <= 1.0:
+        if not 0.0 <= _real(v, name, PriorEstimationError) <= 1.0:
             raise PriorEstimationError(f"{name} must lie in [0, 1]")
     return abs(pi_hat - pi_true)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .graph import GraphError, _integer, _node_ids
+from .graph import GraphError, _array, _integer, _node_ids, _real
 
 LOG_EPS = 1e-12
 ADAM_B1 = 0.9
@@ -80,8 +80,7 @@ class Workspace:
     """
 
     def __init__(self, op, X, hidden: int, positives=(), negatives=()):
-        if X.ndim != 2:
-            raise ClassifierError(f"X must be an n x D feature matrix, got shape {X.shape}")
+        X = _array(X, "feature matrix X", ("n", "D"), ClassifierError)
         n = X.shape[0]
         if op.shape != (n, n):
             raise ClassifierError(f"operator is {op.shape[0]} x {op.shape[1]} but X has {n} rows")
@@ -200,7 +199,7 @@ def backward_and_step(state: ClassifierState, work: Workspace, lr: float):
     textbook operand order, so the bits are those of the textbook update.
     lr=0 leaves the parameters unchanged.
     """
-    if not 0 <= lr < np.inf:  # NaN too
+    if not 0 <= _real(lr, "lr", ClassifierError) < np.inf:  # NaN too
         raise ClassifierError("lr must be finite and >= 0")
     grad, loss = loss_gradients(state, work)
     state.t += 1
@@ -236,11 +235,9 @@ def select_top(u_nodes, z, pi_hat: float) -> SelectionResult:
     Rounding is half-up; score ties break toward the lower node index.
     A node id given twice is an error: it would land in both sets.
     """
-    if not 0.0 <= pi_hat <= 1.0:
+    if not 0.0 <= _real(pi_hat, "pi_hat", ClassifierError) <= 1.0:
         raise ClassifierError("pi_hat must lie in [0, 1]")
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1:
-        raise ClassifierError(f"scores must be a 1-d vector, got shape {z.shape}")
+    z = _array(z, "scores", ("n",), ClassifierError)
     (u,) = _node_ids(len(z), u_nodes, error=ClassifierError, disjoint=True)
     zu = z[u]
     bad = np.flatnonzero(~np.isfinite(zu))
@@ -248,9 +245,7 @@ def select_top(u_nodes, z, pi_hat: float) -> SelectionResult:
         raise ClassifierError(f"score of node {u[bad[0]]} is {zu[bad[0]]}, not finite")
     k = int(np.floor(pi_hat * u.size + 0.5))
     order = np.lexsort((u, -zu))
-    chosen = np.sort(u[order[:k]])
-    rest = np.sort(u[order[k:]])
-    return SelectionResult(s_set=chosen, complement=rest)
+    return SelectionResult(s_set=np.sort(u[order[:k]]), complement=np.sort(u[order[k:]]))
 
 
 def predict_labels(z: np.ndarray) -> np.ndarray:

@@ -24,6 +24,29 @@ def _integer(value, name: str, least: int, error) -> int:
     return int(value)
 
 
+def _real(value, name: str, error) -> float:
+    """value as a float; a boolean, string, None or other non-number is rejected with `error`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise error(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _array(x, what: str, shape: tuple, error) -> np.ndarray:
+    """x as a float64 array of `shape` (a float64 array is not copied): an
+    int entry is a fixed length, a name any length. Another shape, or a
+    ragged or non-numeric input, raises `error`, naming `what` and both shapes."""
+    try:
+        a = np.asarray(x, dtype=np.float64)
+        if a.shape == shape or a.ndim == len(shape) and all(k == s or type(s) is str for k, s in zip(a.shape, shape)):
+            return a
+        got = f"shape {a.shape}"
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float64's range
+        got = "a ragged or non-numeric input"
+    want = (" x ".join(map(str, shape)) if len(shape) > 1 else "a 1-d vector" if isinstance(shape[0], str)
+            else f"a 1-d vector of length {shape[0]}")
+    raise error(f"{what} must be {want}, got {got}")
+
+
 @dataclass(frozen=True)
 class SparseGraph:
     """Immutable undirected graph with node features and binary labels.
@@ -72,9 +95,10 @@ def build_graph(n, edges, features, labels) -> SparseGraph:
     empty input is no edges whatever its dtype. Symmetric duplicates
     collapse to one stored edge. Self-loops and out-of-range endpoints are
     rejected, naming the first offending pair in input order (a self-loop
-    before a range error); NaN or infinite features are rejected, naming
-    the first offending row. Labels must be integers +1/-1: a boolean,
-    float, string or object label array is rejected, not cast.
+    before a range error). Features are read as an n x D float64 array
+    (graph._array); NaN or infinite ones are rejected, naming the first
+    offending row. Labels must be integers +1/-1: a boolean, float, string
+    or object label array is rejected, not cast.
     """
     # as an int: a numpy uint64 count would turn the int64 keys into floats
     n = _integer(n, "node count", 1, GraphError)
@@ -103,14 +127,7 @@ def build_graph(n, edges, features, labels) -> SparseGraph:
     keys = keys[np.diff(keys, prepend=-1) != 0]
     edge_arr = np.column_stack(np.divmod(keys, n))
 
-    try:
-        features = np.asarray(features, dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # strings, ragged rows
-        raise GraphError(f"features must be an n x D array of numbers: {exc}") from None
-    if features.ndim != 2 or features.shape[0] != n:
-        raise GraphError(
-            f"feature matrix has {features.shape[0] if features.ndim == 2 else '?'} rows, expected {n}"
-        )
+    features = _array(features, "features", (n, "D"), GraphError)
     if not np.isfinite(features).all():
         bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
         raise GraphError(f"feature row {bad[0]}: non-finite value")
@@ -342,7 +359,7 @@ def rewire_to_heterophily(g: SparseGraph, target_h: float, seed: int) -> SparseG
     of them are absent, and the first k absent ones in draw order form a
     uniform k-subset of the absent pairs. Deterministic per seed.
     """
-    if not 0.0 <= target_h <= 1.0:
+    if not 0.0 <= _real(target_h, "target heterophily", GraphError) <= 1.0:
         raise GraphError("target heterophily must lie in [0, 1]")
     if g.m == 0:
         raise GraphError("no edges")

@@ -11,8 +11,8 @@ from scipy.special import logit
 
 from .cpe import _as_scores
 from .gnn import Workspace, forward, init_classifier, loss_gradients, pu_loss
-from .graph import (EdgeMask, GraphError, SparseGraph, _edge_weights, _node_ids, build_graph, gcn_operator,
-                    propagation_operator)
+from .graph import (EdgeMask, GraphError, SparseGraph, _array, _edge_weights, _node_ids, build_graph,
+                    gcn_operator, propagation_operator)
 from .propagation import PropagationConfig, _anchor_beliefs, _check_anchor_sets, _lpl_at, lpl_gradient, propagate
 from .synth import PlantedConfig, generate_planted
 
@@ -20,10 +20,7 @@ from .synth import PlantedConfig, generate_planted
 def f1_score(pred, truth, eval_set) -> float:
     """F1 of the +1 class over eval_set; 0 when precision + recall is 0.
     pred and truth must be vectors of the same length."""
-    pred, truth = np.asarray(pred), np.asarray(truth)
-    for name, v in (("pred", pred), ("truth", truth)):
-        if v.ndim != 1:
-            raise GraphError(f"{name} must be a 1-d vector, got shape {v.shape}")
+    pred, truth = _array(pred, "pred", ("n",), GraphError), _array(truth, "truth", ("n",), GraphError)
     if len(pred) != len(truth):
         raise GraphError(f"pred has {len(pred)} entries but truth has {len(truth)}")
     (idx,) = _node_ids(len(pred), eval_set)
@@ -33,9 +30,7 @@ def f1_score(pred, truth, eval_set) -> float:
     tp = int(np.sum((p == 1) & (t == 1)))
     fp = int(np.sum((p == 1) & (t == -1)))
     fn = int(np.sum((p == -1) & (t == 1)))
-    if 2 * tp + fp + fn == 0:
-        return 0.0
-    return 2.0 * tp / (2 * tp + fp + fn)
+    return 2.0 * tp / (2 * tp + fp + fn) if tp + fp + fn else 0.0
 
 
 FD_STEP = 1e-6
@@ -52,15 +47,11 @@ def heterophily_influence(op, e0, cfg, a: int, b: int) -> float:
     a, b = _node_ids(n, [a, b], error=ValueError)[0]
     if a == b:
         raise ValueError("source and target must differ")
-    hi, lo = np.array(e0, copy=True), np.array(e0, copy=True)
-    if hi.shape != (n, 2):
-        raise ValueError(f"initial beliefs must be {n} x 2, got shape {hi.shape}")
-    hi[b, 1] += FD_STEP
-    hi[b, 0] -= FD_STEP
-    lo[b, 1] -= FD_STEP
-    lo[b, 0] += FD_STEP
-    fa = propagate(op, hi, cfg)[-1][a, 1]
-    fb = propagate(op, lo, cfg)[-1][a, 1]
+    e0 = _array(e0, "initial beliefs", (n, 2), ValueError)
+    step = np.zeros((n, 2))
+    step[b] = (-FD_STEP, FD_STEP)
+    fa = propagate(op, e0 + step, cfg)[-1][a, 1]
+    fb = propagate(op, e0 - step, cfg)[-1][a, 1]
     return float(abs(fa - fb) / (2 * FD_STEP))
 
 
@@ -73,13 +64,19 @@ def check_influence_sum(g, mask, e0, cfg, a: int):
     """
     op = propagation_operator(g, mask)
     total = 0.0
-    for b in range(g.n):
-        if b == a:
-            continue
+    for b in np.flatnonzero(np.arange(g.n) != a):
         total += heterophily_influence(op, e0, cfg, a, b)
     out = propagate(op, e0, cfg)[-1]
     delta = abs(float(out[a, 1] - e0[a, 1]))
     return total, delta, abs(total - delta)
+
+
+def _embeddings(x, n: int) -> np.ndarray:
+    """x as an n x D float64 matrix; an n-vector is read as one column."""
+    try:
+        return _array(x, "embeddings", (n,), ValueError)[:, None]
+    except ValueError:
+        return _array(x, "embeddings", (n, "D"), ValueError)
 
 
 def dpn_distance(embeddings, g: SparseGraph, op) -> float:
@@ -90,11 +87,7 @@ def dpn_distance(embeddings, g: SparseGraph, op) -> float:
     """
     if op.shape != (g.n, g.n):
         raise ValueError(f"operator shape {op.shape} does not match a graph of {g.n} nodes")
-    x = np.asarray(embeddings, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.shape[0] != g.n:
-        raise ValueError(f"embeddings have {x.shape[0]} rows but the graph has {g.n} nodes")
+    x = _embeddings(embeddings, g.n)
     if not g.cross.any():
         return 0.0
     e = g.edges[g.cross]
@@ -113,7 +106,7 @@ def check_aggregation_contraction(g: SparseGraph, mask: EdgeMask | None, embeddi
     The claim under test is after <= before + 1e-9. This function only
     measures; callers decide whether a violation fails their run.
     """
-    x = np.asarray(embeddings, dtype=np.float64)
+    x = _embeddings(embeddings, g.n)
     op = propagation_operator(g, mask)
     return dpn_distance(x, g, op), dpn_distance(op @ x, g, op)
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import EdgeMask, SparseGraph, _integer, _node_ids, _propagation, propagation_operator
+from .graph import EdgeMask, SparseGraph, _array, _integer, _node_ids, _propagation, _real, propagation_operator
 
 LOG_EPS = 1e-12
 
@@ -25,7 +25,7 @@ class PropagationConfig:
     k_prop: int
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
+        if not 0.0 < _real(self.alpha, "alpha", PropagationError) < 1.0:
             raise PropagationError("alpha must lie strictly in (0, 1)")
         _integer(self.k_prop, "k_prop", 0, PropagationError)
 
@@ -45,9 +45,7 @@ def propagate(op: sp.csr_matrix, e0: np.ndarray, cfg: PropagationConfig) -> list
     e0, the final beliefs [-1]). Each step is a convex combination of
     row-stochastic maps, so row sums are preserved exactly and rows stay in
     the simplex."""
-    if op.shape[0] != e0.shape[0]:
-        raise PropagationError("operator and belief dimensions disagree")
-    states = [np.array(e0, dtype=np.float64, copy=True)]
+    states = [_array(e0, "beliefs", (op.shape[0], 2), PropagationError).copy(order="K")]
     for _ in range(cfg.k_prop):
         e = op @ states[-1]
         e *= 1.0 - cfg.alpha
@@ -70,8 +68,7 @@ def lpl_loss(beliefs, positives, negatives) -> float:
     Minimizing L drives anchor beliefs toward their known signs. The negative
     term is dropped when no negatives are identified.
     """
-    if beliefs.ndim != 2 or beliefs.shape[1] != 2:
-        raise PropagationError(f"beliefs must be n x 2, got shape {beliefs.shape}")
+    beliefs = _array(beliefs, "beliefs", ("n", 2), PropagationError)
     return _lpl(beliefs, *_check_anchor_sets(beliefs.shape[0], positives, negatives))
 
 
@@ -120,9 +117,7 @@ def lpl_gradient(g: SparseGraph, mask: EdgeMask, states, cfg: PropagationConfig,
     K = cfg.k_prop
     if len(states) != K + 1:
         raise PropagationError(f"expected {K + 1} belief states, got {len(states)}")
-    for s in states:
-        if s.shape != (g.n, 2):
-            raise PropagationError(f"belief states must be {g.n} x 2 on a graph of {g.n} nodes, got shape {s.shape}")
+    states = [_array(s, "belief states", (g.n, 2), PropagationError) for s in states]
     sums = states[0][:, 0] + states[0][:, 1]
     ok = np.abs(sums - 1.0) <= 1e-12  # False for NaN, where a > test would pass it
     if not ok.all():
@@ -198,7 +193,7 @@ def optimize_mask(
     new mask, holding its operator; the input is untouched.
     """
     steps = _integer(steps, "steps", 1, PropagationError)
-    if not 0 <= lr < np.inf:  # NaN too
+    if not 0 <= _real(lr, "lr", PropagationError) < np.inf:  # NaN too
         raise PropagationError("lr must be finite and >= 0")
     positives, negatives = _check_anchor_sets(g.n, positives, negatives)
     e0 = _anchor_beliefs(g.n, positives, negatives)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphError, SparseGraph, _integer, _typed_pairs, build_graph
+from .graph import GraphError, SparseGraph, _integer, _real, _typed_pairs, build_graph
 
 
 class DatasetError(ValueError):
@@ -28,14 +28,12 @@ class PlantedConfig:
     def __post_init__(self):
         for name, least in (("n", 2), ("feature_dim", 1), ("seed", 0)):
             _integer(getattr(self, name), name, least, GraphError)
-        if not 0.0 < self.pi_p < 1.0:
-            raise GraphError("pi_p must lie strictly in (0, 1)")
-        if not 0.0 <= self.h <= 1.0:
-            raise GraphError("h must lie in [0, 1]")
-        if not 1.0 <= self.avg_degree < np.inf:
-            raise GraphError("avg_degree must be finite and >= 1")
-        if not np.isfinite(self.feature_separation):
-            raise GraphError("feature_separation must be finite")
+        for name, ok, rule in (("pi_p", lambda v: 0 < v < 1, "lie strictly in (0, 1)"),
+                               ("h", lambda v: 0 <= v <= 1, "lie in [0, 1]"),
+                               ("avg_degree", lambda v: 1 <= v < np.inf, "be finite and >= 1"),
+                               ("feature_separation", np.isfinite, "be finite")):
+            if not ok(_real(getattr(self, name), name, GraphError)):
+                raise GraphError(f"{name} must {rule}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +111,7 @@ def make_pu_split(g: SparseGraph, r_p: float, seed: int) -> PUSplit:
     pi_true = hidden positives / |U|. A split that observes no positive,
     also on a graph that has none, or leaves U empty is an error.
     """
-    if not 0.0 < r_p <= 1.0:
+    if not 0.0 < _real(r_p, "r_p", DatasetError) <= 1.0:
         raise DatasetError("r_p must lie in (0, 1]")
     _integer(seed, "seed", 0, DatasetError)
     pos = np.flatnonzero(g.labels == 1)
@@ -210,6 +208,6 @@ def load_dataset(directory) -> SparseGraph:
     try:
         if not set(np.unique(lab)) <= {-1, 1}:
             lab = binarize_labels(lab)
-        return build_graph(len(labels), edges, np.asarray(features), lab)
+        return build_graph(len(labels), edges, features, lab)
     except (GraphError, DatasetError) as exc:
         raise DatasetError(f"{directory}: {exc}") from exc

@@ -19,7 +19,7 @@ from .gnn import (
     scores,
     select_top,
 )
-from .graph import SparseGraph, _integer, _node_ids, gcn_operator, init_mask, propagation_operator
+from .graph import SparseGraph, _integer, _node_ids, _real, gcn_operator, init_mask, propagation_operator
 from .metrics import edge_weight_means, f1_score
 from .propagation import (
     PropagationConfig,
@@ -50,16 +50,15 @@ class TrainConfig:
     hidden: int = 16
 
     def __post_init__(self):
-        _integer(self.outer_epochs, "outer_epochs", 1, TrainError)
         try:
             PropagationConfig(alpha=self.alpha, k_prop=self.k_prop)
         except PropagationError as exc:
             raise TrainError(str(exc)) from exc
-        for name, least in (("k_inner", 0), ("clf_steps_per_epoch", 0), ("warmup_steps", 0),
+        for name, least in (("outer_epochs", 1), ("k_inner", 0), ("clf_steps_per_epoch", 0), ("warmup_steps", 0),
                             ("hidden", 1), ("seed", 0)):
             _integer(getattr(self, name), name, least, TrainError)
         for name in ("lr_mask", "lr_clf"):
-            if not 0 <= getattr(self, name) < np.inf:
+            if not 0 <= _real(getattr(self, name), name, TrainError) < np.inf:
                 raise TrainError(f"{name} must be finite and >= 0")
 
 

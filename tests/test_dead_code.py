@@ -4,8 +4,11 @@ package, scripts/ or perfbench/ names it other than its own definition. The
 package's __init__ re-exports do not count.
 Every defaulted parameter of a public src/gpl function is passed by some
 call outside the tests, and omitted by some other, so no default serves only
-the tests. And no module in src/gpl, tests/ or scripts/
-imports a name it never reads."""
+the tests. No module in src/gpl, tests/ or scripts/
+imports a name it never reads. And no src/gpl function hands one of its own
+parameters to np.asarray or np.array: float arrays are read by graph._array,
+node ids by graph._node_ids, and only build_graph's edges and labels and
+binarize_labels' class ids keep integer reads of their own."""
 
 import ast
 from pathlib import Path
@@ -121,6 +124,31 @@ def unused_imports(root=ROOT):
     return found
 
 
+# the readers themselves, and the integer inputs that keep readers of their own
+RAW_READS = {"_array", "_node_ids", "binarize_labels", ("build_graph", "edges"), ("build_graph", "labels")}
+
+
+def raw_array_reads(root=ROOT):
+    """file:function:parameter for each parameter of a src/gpl function that
+    the function passes to np.asarray or np.array itself, outside RAW_READS."""
+    found = set()
+    for path in sorted((root / "src" / "gpl").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef) or fn.name in RAW_READS:
+                continue
+            a = fn.args
+            params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p}
+            for call in ast.walk(fn):
+                f = getattr(call, "func", None)
+                if not (isinstance(f, ast.Attribute) and f.attr in ("asarray", "array")
+                        and isinstance(f.value, ast.Name) and f.value.id == "np"):
+                    continue
+                for arg in call.args + [k.value for k in call.keywords]:
+                    if isinstance(arg, ast.Name) and arg.id in params and (fn.name, arg.id) not in RAW_READS:
+                        found.add(f"{path.name}:{fn.name}:{arg.id}")
+    return sorted(found)
+
+
 def test_every_public_name_has_a_caller_outside_tests():
     assert unused_public_names() == []
 
@@ -206,3 +234,19 @@ def test_default_scan_reports_a_default_every_call_passes(tmp_path):
     (tmp_path / "scripts").mkdir()
     (tmp_path / "scripts" / "s.py").write_text("import gpl.a\ngpl.a.g(a=1)\n")
     assert always_passed_options(tmp_path) == ["a.py:f:y", "a.py:g:a"]
+
+
+def test_no_function_reads_its_own_array_parameter():
+    assert raw_array_reads() == []
+
+
+def test_raw_read_scan_reports_a_parameter_given_to_numpy(tmp_path):
+    pkg = tmp_path / "src" / "gpl"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("import numpy as np\n\n\n"
+                              "def f(x, y, *rest):\n    z = np.asarray(x)\n"
+                              "    return np.array(z), np.array(y, copy=True), np.asarray(rest), np.sum(x)\n\n\n"
+                              "def _array(x):\n    return np.asarray(x)\n\n\n"
+                              "def build_graph(edges, features, labels):\n"
+                              "    return np.asarray(edges), np.asarray(a=features), np.asarray(labels)\n")
+    assert raw_array_reads(tmp_path) == ["a.py:build_graph:features", "a.py:f:rest", "a.py:f:x", "a.py:f:y"]

@@ -332,7 +332,7 @@ class TestWorkspace:
             Workspace(op, np.zeros((4, 2)), 3)
 
     def test_features_must_be_a_matrix(self):
-        with pytest.raises(ClassifierError, match=r"n x D feature matrix, got shape \(4,\)"):
+        with pytest.raises(ClassifierError, match=r"feature matrix X must be n x D, got shape \(4,\)"):
             Workspace(sp.identity(4, format="csr"), np.zeros(4), 3)
 
     @pytest.mark.parametrize("hidden, named", [(0, "hidden must be >= 1"), (-2, "hidden must be >= 1"),

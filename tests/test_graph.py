@@ -164,7 +164,7 @@ class TestBuildGraph:
 
     @pytest.mark.parametrize("features", [[["a"], ["b"]], [[1.0], [1.0, 2.0]]])
     def test_unreadable_features_rejected(self, features):
-        with pytest.raises(GraphError, match="^features must be an n x D array of numbers: "):
+        with pytest.raises(GraphError, match="^features must be 2 x D, got a ragged or non-numeric input$"):
             build_graph(2, [(0, 1)], features, [1, -1])
 
     def test_ragged_labels_rejected(self):

@@ -73,7 +73,7 @@ CASES = {
                                      lambda *_: generate_planted(PlantedConfig(n=3, pi_p=0.2))),
     "make_pu_split-rp_0": (DatasetError, "r_p must lie in (0, 1]", lambda *_: make_pu_split(G, 0.0, seed=0)),
     "load_dataset-ragged_rows": (DatasetError, "features.csv: ragged rows, widths [1, 2]", _ragged_dataset),
-    "propagate-sizes_differ": (PropagationError, "operator and belief dimensions disagree",
+    "propagate-sizes_differ": (PropagationError, "beliefs must be 4 x 2, got shape (5, 2)",
                                lambda *_: propagate(propagation_operator(G, None), np.zeros((N + 1, 2)), CFG)),
     "optimize_mask-no_steps": (PropagationError, "steps must be >= 1",
                                lambda *_: optimize_mask(G, init_mask(G), CFG, [0], [1], steps=0, lr=0.1)),
@@ -91,11 +91,11 @@ CASES = {
                                 lambda *_: optimize_mask(G, EdgeMask(np.full(G.m, np.nan)), CFG, [0], [1],
                                                          steps=1, lr=0.1)),
     "lpl_gradient-too_few_rows": (PropagationError,
-                                  "belief states must be 4 x 2 on a graph of 4 nodes, got shape (3, 2)",
+                                  "belief states must be 4 x 2, got shape (3, 2)",
                                   lambda *_: lpl_gradient(G, init_mask(G), [np.full((N - 1, 2), 0.5)] * 3, CFG,
                                                           [0], [1])),
     "lpl_gradient-three_columns": (PropagationError,
-                                   "belief states must be 4 x 2 on a graph of 4 nodes, got shape (4, 3)",
+                                   "belief states must be 4 x 2, got shape (4, 3)",
                                    lambda *_: lpl_gradient(G, init_mask(G), [np.full((N, 3), 0.5)] * 3, CFG,
                                                            [0], [1])),
     "lpl_gradient-nan_row": (PropagationError, "belief row 3 sums to nan, not 1", _nan_belief_row),
@@ -103,9 +103,9 @@ CASES = {
                                  lambda *_: lpl_loss(np.full(8, 0.5), [0], [1])),
     "lpl_loss-three_columns": (PropagationError, "beliefs must be n x 2, got shape (8, 3)",
                                lambda *_: lpl_loss(np.full((8, 3), 0.5), [0], [1])),
-    "dpn_distance-rows": (ValueError, "embeddings have 3 rows but the graph has 4 nodes",
+    "dpn_distance-rows": (ValueError, "embeddings must be 4 x D, got shape (3, 2)",
                           lambda *_: dpn_distance(np.zeros((N - 1, 2)), G, propagation_operator(G, None))),
-    "check_aggregation_contraction-rows": (ValueError, "embeddings have 3 rows but the graph has 4 nodes",
+    "check_aggregation_contraction-rows": (ValueError, "embeddings must be 4 x D, got shape (3,)",
                                            lambda *_: check_aggregation_contraction(G, None, np.zeros(N - 1))),
     "loss_gradients-nan_loss": (ClassifierError, "non-finite classification loss", _nan_classifier),
     "backward_and_step-negative_lr": (ClassifierError, "lr must be finite and >= 0",
