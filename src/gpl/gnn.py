@@ -61,7 +61,8 @@ class Workspace:
     """Everything a classifier step reads besides the parameters, for one
     operator `op`, feature matrix `X`, hidden size and the fit's id sets,
     built once per fit. op must be symmetric, as gcn_operator builds it
-    bit for bit: a step takes the outer adjoint op.T @ v as op @ v. Held:
+    bit for bit: a step takes the outer adjoint op.T @ v as op @ v, so an op
+    for which the two differ on a fixed random v is rejected. Held:
     pos and neg, the positive and provisional-negative ids as int64
     arrays, read once here with graph._node_ids, no id in both or twice in
     one; xs1T = [op @ X | 1].T, the first aggregation with a ones row, held
@@ -84,6 +85,9 @@ class Workspace:
         n = X.shape[0]
         if op.shape != (n, n):
             raise ClassifierError(f"operator is {op.shape[0]} x {op.shape[1]} but X has {n} rows")
+        v = np.random.default_rng(0).random(n)
+        if not np.array_equal(op @ v, op.T @ v):
+            raise ClassifierError("operator must be symmetric, as gcn_operator's is: a step takes op.T @ v as op @ v")
         hidden = _integer(hidden, "hidden", 1, ClassifierError)
         self.pos, self.neg = _node_ids(n, positives, negatives, error=ClassifierError, disjoint=True)
         self.op, self.X = op, X

@@ -25,18 +25,28 @@ def _integer(value, name: str, least: int, error) -> int:
 
 
 def _real(value, name: str, error) -> float:
-    """value as a float; a boolean, string, None or other non-number is rejected with `error`."""
+    """value as a float; a boolean, string, None or other non-number, or an
+    int past float64's range, is rejected with `error`."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise error(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{name} must be a real number, got an integer past float64's range") from None
 
 
 def _array(x, what: str, shape: tuple, error) -> np.ndarray:
     """x as a float64 array of `shape` (a float64 array is not copied): an
     int entry is a fixed length, a name any length. Another shape, or a
-    ragged or non-numeric input, raises `error`, naming `what` and both shapes."""
+    ragged or non-numeric input, raises `error`, naming `what` and both shapes.
+    Text is non-numeric, "0.9" too, and so is an object array, which is how
+    numpy reads a list that mixes text or ints past int64 with numbers."""
     try:
+        if not isinstance(x, np.ndarray):
+            x = np.asarray(x)  # a list is parsed here only, and its dtype kind kept
         a = np.asarray(x, dtype=np.float64)
+        if a is not x and x.dtype.kind in "OSU":  # the cast parses text such as "0.9"
+            raise TypeError
         if a.shape == shape or a.ndim == len(shape) and all(k == s or type(s) is str for k, s in zip(a.shape, shape)):
             return a
         got = f"shape {a.shape}"
@@ -116,16 +126,19 @@ def build_graph(n, edges, features, labels) -> SparseGraph:
         raise GraphError(f"edges must be (i, j) integer pairs, got shape {pairs.shape}")
     ij = pairs.astype(np.int64, copy=False)  # uint64 ids past int64 wrap negative: out of range
     lo, hi = np.minimum(ij[:, 0], ij[:, 1]), np.maximum(ij[:, 0], ij[:, 1])
-    bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= n))
-    if bad.size:
-        i, j = pairs[bad[0]].tolist()
+    if lo.size and (lo.min() < 0 or hi.max() >= n or not (lo < hi).all()):  # the mask only on failure
+        i, j = pairs[np.flatnonzero((lo == hi) | (lo < 0) | (hi >= n))[0]].tolist()
         if i == j:
             raise GraphError(f"edge ({i}, {j}): self-loop")
         raise GraphError(f"edge ({i}, {j}): index out of range for n={n}")
-    # sort and drop repeats: np.unique hashes integer keys before sorting them
-    keys = np.sort(lo * n + hi)
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    edge_arr = np.column_stack(np.divmod(keys, n))
+    # keys lo * n + hi written over lo, sorted in place and rid of repeats
+    # (np.unique hashes integer keys before sorting them)
+    keys = np.add(np.multiply(lo, n, out=lo), hi, out=lo)
+    keys.sort()
+    if not (new := keys[1:] != keys[:-1]).all():
+        keys = keys[np.concatenate(([True], new))]
+    edge_arr = np.empty((keys.size, 2), np.int64)
+    np.divmod(keys, n, out=(edge_arr[:, 0], edge_arr[:, 1]))
 
     features = _array(features, "features", (n, "D"), GraphError)
     if not np.isfinite(features).all():
@@ -326,7 +339,8 @@ def _typed_pairs(flat, pos: np.ndarray, neg: np.ndarray, cross: bool):
     ascending class ids pos and neg: the len(pos) * len(neg) cross pairs,
     or else the within pairs, positive ones first. Keeps the order of flat."""
     if cross:
-        a, b = pos[flat // len(neg)], neg[flat % len(neg)]
+        q, r = np.divmod(flat, len(neg))
+        a, b = pos[q], neg[r]
         return np.minimum(a, b), np.maximum(a, b)
     n_pp = len(pos) * (len(pos) - 1) // 2
     pp = flat < n_pp

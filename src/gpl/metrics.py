@@ -62,6 +62,7 @@ def check_influence_sum(g, mask, e0, cfg, a: int):
     The two agree (residual ~ 0) when every node other than a starts at a
     pure [0, 1] belief, which is how validation instances are built.
     """
+    e0 = _array(e0, "initial beliefs", (g.n, 2), ValueError)
     op = propagation_operator(g, mask)
     total = 0.0
     for b in np.flatnonzero(np.arange(g.n) != a):

@@ -83,14 +83,14 @@ def generate_planted(cfg: PlantedConfig) -> SparseGraph:
 
     cross_flat = rng.choice(max_cross, size=want_cross, replace=False)
     within_flat = rng.choice(max_within, size=want_within, replace=False)
-    ca, cb = _typed_pairs(cross_flat, pos_ids, neg_ids, True)
-    wa, wb = _typed_pairs(within_flat, pos_ids, neg_ids, False)
-    src, dst = np.concatenate([ca, wa]), np.concatenate([cb, wb])
+    pairs = np.empty((m, 2), np.int64)
+    pairs[:want_cross, 0], pairs[:want_cross, 1] = _typed_pairs(cross_flat, pos_ids, neg_ids, True)
+    pairs[want_cross:, 0], pairs[want_cross:, 1] = _typed_pairs(within_flat, pos_ids, neg_ids, False)
 
     mu = cfg.feature_separation
     features = rng.normal(size=(n, cfg.feature_dim))
     features[:, 0] += mu * labels
-    return build_graph(n, np.column_stack([src, dst]), features, labels)
+    return build_graph(n, pairs, features, labels)
 
 
 def binarize_labels(multi_labels) -> np.ndarray:

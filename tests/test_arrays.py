@@ -1,10 +1,11 @@
 """Every function that takes a float array reads it through one checked
 reader (graph._array), and every real-valued setting through another
 (graph._real). A Python list reads as the ndarray it spells, bit for bit. A
-ragged list, text, an integer past float64's range, another ndim, another
-fixed length, and a boolean, string, None or list setting raise the
-function's own module error, naming the input: never an AttributeError, a
-TypeError, an OverflowError, numpy's own ValueError, or a returned value."""
+ragged list, text (numeric text such as "0.9" too), an integer past
+float64's range, another ndim, another fixed length, and a boolean, string,
+None, list or past-float64 setting raise the function's own module error,
+naming the input: never an AttributeError, a TypeError, an OverflowError,
+numpy's own ValueError, or a returned value."""
 
 import numpy as np
 import pytest
@@ -61,6 +62,8 @@ ARRAYS = {
 CASES = {
     "ragged": (lambda a: [a.tolist(), [0.0]], "got a ragged or non-numeric input"),
     "text": (lambda a: np.full(a.shape, "x").tolist(), "got a ragged or non-numeric input"),
+    "numeric_text": (lambda a: a.astype(str).tolist(), "got a ragged or non-numeric input"),
+    "numeric_text_array": (lambda a: a.astype(str), "got a ragged or non-numeric input"),
     "past_float64": (lambda a: [10**400] * len(a), "got a ragged or non-numeric input"),
     "ndim": (lambda a: a[None], "got shape (1, "),
 }
@@ -123,7 +126,7 @@ REALS = {
     "backward_and_step-lr": (ClassifierError, "lr", _step),
 }
 
-REAL_CASES = {"bool": True, "str": "0.5", "none": None, "list": [0.5]}
+REAL_CASES = {"bool": True, "str": "0.5", "none": None, "list": [0.5], "past_float64": 10**400}
 
 
 def _real_table():
@@ -141,7 +144,8 @@ def test_non_numbers_raise_the_module_error(name, case):
     with pytest.raises(ValueError) as info:
         call(value)
     assert type(info.value) is error
-    assert str(info.value) == f"{named} must be a real number, got {value!r}"
+    got = "an integer past float64's range" if case == "past_float64" else repr(value)
+    assert str(info.value) == f"{named} must be a real number, got {got}"
 
 
 def test_ints_and_numpy_scalars_are_real():

@@ -24,7 +24,7 @@ from gpl.gnn import (
     scores,
     select_top,
 )
-from gpl.graph import GraphError, build_graph, gcn_operator
+from gpl.graph import GraphError, build_graph, gcn_operator, propagation_operator
 from gpl.metrics import fd_classifier_gradients, random_mask, random_test_graph
 from gpl.synth import PlantedConfig, generate_planted, make_pu_split
 
@@ -330,6 +330,12 @@ class TestWorkspace:
         op = sp.csr_matrix(shape)
         with pytest.raises(ClassifierError, match=f"operator is {shape[0]} x {shape[1]} but X has 4 rows"):
             Workspace(op, np.zeros((4, 2)), 3)
+
+    def test_operator_must_be_symmetric(self):
+        g, op, pos, neg = self.problem(60)
+        Workspace(op, g.features, 3, pos, neg)
+        with pytest.raises(ClassifierError, match="operator must be symmetric"):
+            Workspace(propagation_operator(g, None), g.features, 3, pos, neg)
 
     def test_features_must_be_a_matrix(self):
         with pytest.raises(ClassifierError, match=r"feature matrix X must be n x D, got shape \(4,\)"):

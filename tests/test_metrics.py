@@ -161,6 +161,14 @@ class TestInfluenceSum:
             _, _, residual = check_influence_sum(g, mask, e0, cfg, a)
             assert residual <= 1e-6
 
+    def test_list_beliefs_give_the_array_triple(self):
+        g, cfg = star5(), PropagationConfig(alpha=0.5, k_prop=2)
+        mask = EdgeMask(np.full(g.m, logit(0.7)))
+        e0 = probe_beliefs(g.n, 0)
+        assert check_influence_sum(g, mask, e0.tolist(), cfg, a=0) == check_influence_sum(g, mask, e0, cfg, a=0)
+        with pytest.raises(ValueError, match="initial beliefs must be 5 x 2, got shape"):
+            check_influence_sum(g, mask, e0[:, :1].tolist(), cfg, a=0)
+
     @pytest.mark.parametrize("a", [5, -1])
     def test_out_of_range_target_rejected(self, a):
         g = star5()

@@ -77,6 +77,28 @@ class TestGeneratePlanted:
         with pytest.raises(GraphError, match="achievable"):
             generate_planted(cfg)
 
+    @staticmethod
+    def positive_shares(g):
+        """Each class's mean share of positive neighbours, and the standard
+        error of their difference, over the nodes with an edge."""
+        deg = g.degrees()
+        pos_nb = np.bincount(g.edges.ravel(), weights=(g.labels[g.edges[:, ::-1]] == 1).ravel(), minlength=g.n)
+        share = pos_nb[deg > 0] / deg[deg > 0]
+        by_class = [share[g.labels[deg > 0] == c] for c in (1, -1)]
+        se = np.sqrt(sum(s.var(ddof=1) / s.size for s in by_class))
+        return by_class[0].mean(), by_class[1].mean(), se
+
+    @pytest.mark.parametrize("pi_p, h_star", [(0.25, 0.375), (0.5, 0.5)])
+    def test_classes_see_one_neighbour_mix_at_h_star(self, pi_p, h_star):
+        # a positive's expected positive share is 0.2(1-h)/(0.2(1-h)+h) at
+        # pi_p=0.25, a negative's h/(h+1.8(1-h)): equal at h*=0.375 (README)
+        pos, neg, se = self.positive_shares(generate_planted(PlantedConfig(n=4000, pi_p=pi_p, h=h_star, seed=0)))
+        assert abs(pos - neg) < 4 * se
+        assert abs(pos - pi_p) < 4 * se
+        # away from h* the mixes part by many standard errors (0.079 / 0.565 at pi_p=0.25, h=0.7)
+        pos, neg, se = self.positive_shares(generate_planted(PlantedConfig(n=4000, pi_p=pi_p, h=0.7, seed=0)))
+        assert neg - pos > 40 * se
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000),
            h=st.floats(0.0, 1.0),
