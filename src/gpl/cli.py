@@ -121,7 +121,8 @@ def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     trace_to_csv(trace, os.path.join(args.out, "trace.csv"))
     with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
+        # strict JSON has no NaN: a weight mean with no edges of its type is written as null
+        json.dump({k: None if v != v else v for k, v in summary.items()}, f, indent=2, sort_keys=True)
         f.write("\n")
     save_checkpoint(clf, os.path.join(args.out, "classifier.txt"))
     print(f"wrote {args.out}/summary.json (f1={summary['f1']:.4f}, pi_hat={summary['pi_hat']:.4f})")

@@ -35,18 +35,22 @@ def _real(value, name: str, error) -> float:
         raise error(f"{name} must be a real number, got an integer past float64's range") from None
 
 
+_FLOAT64 = np.dtype(np.float64)  # _array's pass path: a float64 array skips the dtype-kind test
+
+
 def _array(x, what: str, shape: tuple, error) -> np.ndarray:
     """x as a float64 array of `shape` (a float64 array is not copied): an
     int entry is a fixed length, a name any length. Another shape, or a
     ragged or non-numeric input, raises `error`, naming `what` and both shapes.
-    Text is non-numeric, "0.9" too, and so is an object array, which is how
-    numpy reads a list that mixes text or ints past int64 with numbers."""
+    Text is non-numeric, "0.9" too, and so are complex, datetime64 and
+    timedelta64 arrays and an object array, which is how numpy reads a list
+    that mixes text or ints past int64 with numbers. Booleans read as 0/1."""
     try:
         if not isinstance(x, np.ndarray):
             x = np.asarray(x)  # a list is parsed here only, and its dtype kind kept
-        a = np.asarray(x, dtype=np.float64)
-        if a is not x and x.dtype.kind in "OSU":  # the cast parses text such as "0.9"
+        if x.dtype is not _FLOAT64 and x.dtype.kind in "OSUcMm":  # the cast would parse "0.9", drop 1j
             raise TypeError
+        a = np.asarray(x, dtype=np.float64)
         if a.shape == shape or a.ndim == len(shape) and all(k == s or type(s) is str for k, s in zip(a.shape, shape)):
             return a
         got = f"shape {a.shape}"
@@ -324,16 +328,6 @@ def heterophily_ratio(g: SparseGraph) -> float:
     return float(np.mean(g.cross))
 
 
-def _pair_from_index(idx, ids: np.ndarray):
-    """(ids[i], ids[j]) for the idx-th pair i < j of the upper triangle over
-    len(ids) items; idx may be an array. ids ascend, so a pair runs low to
-    high."""
-    k = len(ids)
-    i = ((2 * k - 1 - np.sqrt((2 * k - 1) ** 2 - 8 * idx)) // 2).astype(np.int64)
-    j = idx - i * (2 * k - i - 1) // 2 + i + 1
-    return ids[i], ids[j]
-
-
 def _typed_pairs(flat, pos: np.ndarray, neg: np.ndarray, cross: bool):
     """(a, b), a < b, for flat indices into the pairs of one type over the
     ascending class ids pos and neg: the len(pos) * len(neg) cross pairs,
@@ -343,11 +337,13 @@ def _typed_pairs(flat, pos: np.ndarray, neg: np.ndarray, cross: bool):
         a, b = pos[q], neg[r]
         return np.minimum(a, b), np.maximum(a, b)
     n_pp = len(pos) * (len(pos) - 1) // 2
-    pp = flat < n_pp
-    a, b = np.empty(len(flat), np.int64), np.empty(len(flat), np.int64)
-    a[pp], b[pp] = _pair_from_index(flat[pp], pos)
-    a[~pp], b[~pp] = _pair_from_index(flat[~pp] - n_pp, neg)
-    return a, b
+    nn = flat >= n_pp  # a negative-class pair: index flat - n_pp among them, ids offset by len(pos)
+    idx, c = flat - n_pp * nn, np.where(nn, 2 * len(neg) - 1, 2 * len(pos) - 1)  # c = 2k - 1
+    # the idx-th pair i < j of the upper triangle over its class's k ids, in one pass for both classes
+    i = ((c - np.sqrt(c * c - 8 * idx)) // 2).astype(np.int64)
+    j = idx - i * (c - i) // 2 + i + 1
+    ids, off = np.concatenate([pos, neg]), len(pos) * nn
+    return ids[i + off], ids[j + off]
 
 
 def _in_sorted(keys: np.ndarray, x: np.ndarray) -> np.ndarray:

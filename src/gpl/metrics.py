@@ -282,17 +282,10 @@ def check_influence_suite() -> CheckResult:
 
 def contraction_instance(rng):
     """One random instance for the contraction check: a moderately dense
-    30-node graph, random edge weights, random labels, iid embeddings."""
-    n, p = 30, 0.3
+    30-node random_test_graph, a random_mask on it and iid embeddings."""
     d = 1 if rng.random() < 0.6 else 5
-    upper = np.triu(rng.random((n, n)) < p, 1)
-    edges = np.argwhere(upper)
-    labels = rng.choice([-1, 1], size=n)
-    wfull = rng.uniform(0.05, 1.0, size=(n, n))
-    x = rng.normal(size=(n, d))
-    g = build_graph(n, edges, np.zeros((n, 1)), labels)
-    w = wfull[g.edges[:, 0], g.edges[:, 1]]
-    return g, EdgeMask(logit(w)), x
+    g = random_test_graph(rng, 30, 0.3)
+    return g, random_mask(rng, g), rng.normal(size=(g.n, d))
 
 
 def check_contraction_suite() -> CheckResult:

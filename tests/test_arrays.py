@@ -2,10 +2,11 @@
 reader (graph._array), and every real-valued setting through another
 (graph._real). A Python list reads as the ndarray it spells, bit for bit. A
 ragged list, text (numeric text such as "0.9" too), an integer past
-float64's range, another ndim, another fixed length, and a boolean, string,
-None, list or past-float64 setting raise the function's own module error,
-naming the input: never an AttributeError, a TypeError, an OverflowError,
-numpy's own ValueError, or a returned value."""
+float64's range, a complex, datetime64 or timedelta64 array, another ndim,
+another fixed length, and a boolean, string, None, list or past-float64
+setting raise the function's own module error, naming the input: never an
+AttributeError, a TypeError, an OverflowError, numpy's own ValueError or
+ComplexWarning, or a returned value."""
 
 import numpy as np
 import pytest
@@ -65,6 +66,10 @@ CASES = {
     "numeric_text": (lambda a: a.astype(str).tolist(), "got a ragged or non-numeric input"),
     "numeric_text_array": (lambda a: a.astype(str), "got a ragged or non-numeric input"),
     "past_float64": (lambda a: [10**400] * len(a), "got a ragged or non-numeric input"),
+    "complex": (lambda a: a + 0j, "got a ragged or non-numeric input"),
+    "complex_list": (lambda a: (a + 1j).tolist(), "got a ragged or non-numeric input"),
+    "datetime": (lambda a: a.astype(np.int64).astype("datetime64[D]"), "got a ragged or non-numeric input"),
+    "timedelta": (lambda a: a.astype(np.int64).astype("timedelta64[D]"), "got a ragged or non-numeric input"),
     "ndim": (lambda a: a[None], "got shape (1, "),
 }
 
@@ -83,6 +88,10 @@ def test_a_list_reads_as_its_ndarray_bit_for_bit(name):
     want, got = np.asarray(call(good)), np.asarray(call(good.tolist()))
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def test_booleans_read_as_zero_one():
+    assert build_graph(N, EDGES, X > 0, LABELS).features.tobytes() == (X > 0).astype(np.float64).tobytes()
 
 
 @pytest.mark.parametrize("name, case", _table())

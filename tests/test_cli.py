@@ -148,6 +148,19 @@ class TestTrain:
         assert summary["mean_weight_homo"] == 1.0
         assert summary["mean_weight_hetero"] == 1.0
 
+    def test_absent_weight_mean_is_null(self, cfg_file, tmp_path):
+        # h=0 plants no cross-class edge, so the heterophilic weight mean has no edges
+        data, out = tmp_path / "h0", tmp_path / "run"
+        assert main(["synth", "--n", "120", "--h", "0", "--avg-degree", "6", "--out", str(data)]) == 0
+        assert main(["train", "--data", str(data), "--config", cfg_file, "--out", str(out)]) == 0
+
+        def strict(name):
+            raise ValueError(f"summary.json holds {name}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=strict)
+        assert summary["mean_weight_hetero"] is None
+        assert 0.0 < summary["mean_weight_homo"] < 1.0
+
     def test_repeat_runs_byte_identical(self, dataset, cfg_file, tmp_path):
         blobs = []
         for name in ("r1", "r2"):

@@ -12,7 +12,7 @@ from gpl.graph import (
     EdgeMask,
     GraphError,
     _in_sorted,
-    _pair_from_index,
+    _typed_pairs,
     build_graph,
     gcn_operator,
     heterophily_ratio,
@@ -317,9 +317,19 @@ class TestRewire:
     def test_pair_decoder_enumerates_upper_triangle(self, k):
         ids = np.sort(np.random.default_rng(k).choice(10 * k, k, replace=False))
         want = [(ids[i], ids[j]) for i in range(k) for j in range(i + 1, k)]
-        a, b = _pair_from_index(np.arange(len(want)), ids)
+        a, b = _typed_pairs(np.arange(len(want)), ids, np.empty(0, np.int64), False)
         assert list(zip(a, b)) == want
-        assert [_pair_from_index(idx, ids) for idx in range(len(want))] == want
+
+    @pytest.mark.parametrize("k_pos, k_neg", [(1, 2), (2, 2), (3, 7), (40, 25)])
+    def test_pair_decoder_offsets_the_negative_class(self, k_pos, k_neg):
+        # both classes at once: every within pair, in a shuffled flat order
+        rng = np.random.default_rng(k_pos + k_neg)
+        ids = rng.permutation(10 * (k_pos + k_neg))[: k_pos + k_neg]
+        pos, neg = np.sort(ids[:k_pos]), np.sort(ids[k_pos:])
+        want = [(c[i], c[j]) for c in (pos, neg) for i in range(len(c)) for j in range(i + 1, len(c))]
+        flat = rng.permutation(len(want))
+        a, b = _typed_pairs(flat, pos, neg, False)
+        assert list(zip(a, b)) == [want[f] for f in flat]
 
 
 class TestOperators:
